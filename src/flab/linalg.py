@@ -2,7 +2,13 @@
 
 Matrices are immutable, stored row-major as tuples of RingElem.  Everything
 runs over an arbitrary ring from flab.rings; algorithms that need more than
-ring arithmetic use the local-ring structure explicitly:
+ring arithmetic use the local-ring structure explicitly.
+
+RingElem appears only at the API.  The public constructor coerces and checks
+every entry of outside input once; the hot kernels (matrix product, inverse,
+kernel_gens) unwrap the entries to raw ring data, run on the ring's
+``_add``/``_sub``/``_mul``, and wrap their result once through the trusted
+``Matrix._from_data``, which skips the per-entry checks.
 
 * inverse()       Gauss-Jordan with unit pivots (a square matrix over a local
                   ring is invertible iff that succeeds).
@@ -44,6 +50,19 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.rows = tuple(rows)
+
+    @classmethod
+    def _from_data(cls, ring, rows, ncols):
+        """Wrap rows of raw data already valid in ring; no coercion or checks."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self.rows = tuple(tuple(RingElem(ring, x) for x in row) for row in rows)
+        return self
+
+    def _data_rows(self):
+        return [[x.data for x in row] for row in self.rows]
 
     # -- constructors --------------------------------------------------------
 
@@ -144,19 +163,23 @@ class Matrix:
                 raise RingMismatch("matrices over different rings")
             if self.ncols != other.nrows:
                 raise InvalidInput("inner dimensions differ")
-            bcols = [other.col(j) for j in range(other.ncols)]
-            zero = self.ring.zero
+            ring = self.ring
+            add, mul = ring._add, ring._mul
+            zero = ring.zero.data
+            bcols = [[row[j].data for row in other.rows] for j in range(other.ncols)]
             out = []
-            for row in self.rows:
+            for row in self._data_rows():
+                nonzero = [(k, a) for k, a in enumerate(row) if a != zero]
                 out_row = []
                 for col in bcols:
                     acc = zero
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc = acc + a * b
+                    for k, a in nonzero:
+                        b = col[k]
+                        if b != zero:
+                            acc = add(acc, mul(a, b))
                     out_row.append(acc)
                 out.append(out_row)
-            return Matrix(self.ring, out, ncols=other.ncols)
+            return Matrix._from_data(ring, out, other.ncols)
         scalar = _coerce_entry(self.ring, other)
         return Matrix(
             self.ring, [[a * scalar for a in row] for row in self.rows], ncols=self.ncols
@@ -232,12 +255,17 @@ class Matrix:
         if self.nrows != self.ncols:
             raise InvalidInput("inverse of a non-square matrix")
         ring = self.ring
+        sub, mul = ring._sub, ring._mul
         n = self.nrows
-        work = [list(row) + list(irow) for row, irow in zip(self.rows, Matrix.identity(ring, n).rows)]
+        zero, one = ring.zero.data, ring.one.data
+        work = [
+            row + [one if j == i else zero for j in range(n)]
+            for i, row in enumerate(self._data_rows())
+        ]
         for j in range(n):
             pivot_row = None
             for i in range(j, n):
-                if ring.is_unit(work[i][j]):
+                if ring._is_unit(work[i][j]):
                     pivot_row = i
                     break
             if pivot_row is None:
@@ -245,13 +273,16 @@ class Matrix:
                     "matrix is not invertible"
                 )
             work[j], work[pivot_row] = work[pivot_row], work[j]
-            inv_p = ring.inv(work[j][j])
-            work[j] = [inv_p * a for a in work[j]]
+            inv_p = ring.inv(RingElem(ring, work[j][j])).data
+            work[j] = [mul(inv_p, a) for a in work[j]]
             for i in range(n):
-                if i != j and work[i][j]:
-                    c = work[i][j]
-                    work[i] = [a - c * b for a, b in zip(work[i], work[j])]
-        return Matrix(ring, [row[n:] for row in work], ncols=n)
+                c = work[i][j]
+                if i != j and c != zero:
+                    work[i] = [
+                        sub(a, mul(c, b)) if b != zero else a
+                        for a, b in zip(work[i], work[j])
+                    ]
+        return Matrix._from_data(ring, [row[n:] for row in work], n)
 
     def is_invertible(self):
         try:
@@ -270,9 +301,11 @@ class Matrix:
         ker(self) = W ker(reduced).  Over a field the result is a basis.
         """
         ring = self.ring
+        sub, mul = ring._sub, ring._mul
+        zero, one = ring.zero.data, ring.one.data
         n_ideal = ring.level
-        B = [list(row) for row in self.rows]
-        W = [list(row) for row in Matrix.identity(ring, self.ncols).rows]
+        B = self._data_rows()
+        W = [[one if j == i else zero for j in range(self.ncols)] for i in range(self.ncols)]
         free_rows = set(range(self.nrows))
         free_cols = set(range(self.ncols))
         pivot_val = {}
@@ -282,8 +315,8 @@ class Matrix:
             for i in free_rows:
                 for j in free_cols:
                     x = B[i][j]
-                    if x:
-                        v = ring.val(x)
+                    if x != zero:
+                        v = ring._val(x)
                         if v < best_val:
                             best, best_val = (i, j), v
                             if v == 0:
@@ -293,34 +326,36 @@ class Matrix:
             if best is None:
                 break
             pi, pj = best
-            pivot = B[pi][pj]
+            pivot = RingElem(ring, B[pi][pj])
             # clear the pivot column with row operations
             for i in range(self.nrows):
-                if i != pi and B[i][pj]:
-                    q = ring.divide(B[i][pj], pivot)
-                    B[i] = [a - q * b for a, b in zip(B[i], B[pi])]
+                if i != pi and B[i][pj] != zero:
+                    q = ring.divide(RingElem(ring, B[i][pj]), pivot).data
+                    B[i] = [
+                        sub(a, mul(q, b)) if b != zero else a
+                        for a, b in zip(B[i], B[pi])
+                    ]
             # clear the pivot row with column operations, mirrored on W
             for j in range(self.ncols):
-                if j != pj and B[pi][j]:
-                    q = ring.divide(B[pi][j], pivot)
-                    for i in range(self.nrows):
-                        if B[i][pj]:
-                            B[i][j] = B[i][j] - q * B[i][pj]
-                    for i in range(self.ncols):
-                        if W[i][pj]:
-                            W[i][j] = W[i][j] - q * W[i][pj]
+                if j != pj and B[pi][j] != zero:
+                    q = ring.divide(RingElem(ring, B[pi][j]), pivot).data
+                    for M in (B, W):
+                        for row in M:
+                            if row[pj] != zero:
+                                row[j] = sub(row[j], mul(q, row[pj]))
             free_rows.discard(pi)
             free_cols.discard(pj)
             pivot_val[pj] = best_val
         gens = []
         for j in range(self.ncols):
+            col = [row[j] for row in W]
             if j in pivot_val:
                 d = pivot_val[j]
-                if d > 0:
-                    scale = ring.pi_pow(n_ideal - d)
-                    gens.append(tuple(scale * W[i][j] for i in range(self.ncols)))
-            else:
-                gens.append(tuple(W[i][j] for i in range(self.ncols)))
+                if d == 0:
+                    continue
+                scale = ring.pi_pow(n_ideal - d).data
+                col = [mul(scale, x) for x in col]
+            gens.append(tuple(RingElem(ring, x) for x in col))
         return tuple(gens)
 
     def rank_field(self):
@@ -329,12 +364,3 @@ class Matrix:
             raise InvalidInput("rank_field needs a field")
         return self.ncols - len(self.kernel_gens())
 
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)

@@ -13,6 +13,25 @@ Both families share one element interface (RingElem with operator
 overloading) and provide Frobenius, Teichmueller lifts (witt only), unit
 inversion, unit square roots, and one-step small surjections down the level
 chain.  All values are immutable.
+
+Every ring works on raw data tuples (``_add``, ``_sub``, ``_mul``); RingElem
+wraps them for the public API, and flab.linalg runs its eliminations on the
+raw tuples directly.  Arithmetic per family:
+
+* Z/p^level (f = 1): int arithmetic mod p^level; units invert by
+  ``pow(a, -1, p^level)``.
+* F_q with f > 1 and q <= LOG_TABLE_MAX_Q: multiplication and inversion
+  through discrete-log / antilog tables over a generator of F_q^*, so a
+  product is two dict lookups and a list index.  The tables are built on the
+  first multiplication, once per interned ring.  Building them costs q
+  convolution products and O(q) memory, which only a field that multiplies
+  far more often than that pays back; the cap keeps them to the small fields
+  of the eliminations and leaves the ambient fields of up to about 10^6
+  elements that flab.gf searches on convolution.
+* Every other ring multiplies by polynomial convolution and reduction mod
+  the minimal polynomial (``WittRing._conv_mul``), and inverts units by
+  ``x^(q-2)`` in a large field or by Newton iteration from the residue
+  field at higher levels.
 """
 
 from __future__ import annotations
@@ -25,6 +44,9 @@ from .errors import (
     InvalidInput,
     RingMismatch,
 )
+
+# Level-1 Witt rings F_q with f > 1 and q at most this use log/antilog tables.
+LOG_TABLE_MAX_Q = 2**12
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (plain int lists, lowest degree first)
@@ -255,6 +277,8 @@ class Ring:
         return (self.family, self.p, self.f, self.level)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return isinstance(other, Ring) and self._key() == other._key()
 
     def __hash__(self):
@@ -291,11 +315,24 @@ class Ring:
 
     # -- units ---------------------------------------------------------------
 
+    def is_unit(self, x):
+        return self._is_unit(_coerce(self, x).data)
+
+    def val(self, x):
+        """Valuation of x (p-adic or t-adic), capped at the level for zero."""
+        return self._val(_coerce(self, x).data)
+
     def inv(self, x):
         x = _coerce(self, x)
-        if not self.is_unit(x):
+        if not self._is_unit(x.data):
             raise InvalidInput("inverse of a non-unit")
-        if self.level == 1 and self.family == "witt":
+        if self.family == "witt" and self.f == 1:
+            return RingElem(self, (pow(x.data[0], -1, self._modulus),))
+        if self.is_field():
+            tables = self._field_tables()
+            if tables:
+                log, exp = tables
+                return RingElem(self, exp[self.residue_size - 1 - log[x.data]])
             return x ** (self.residue_size - 2)
         z = self.lift_from(self.residue_ring().inv(self.residue(x)))
         for _ in range(self.level.bit_length() + 2):
@@ -368,7 +405,7 @@ class Ring:
 
 
 class WittRing(Ring):
-    __slots__ = ("_modulus", "_frob_cols")
+    __slots__ = ("_modulus", "_frob_cols", "_tables")
 
     family = "witt"
 
@@ -379,6 +416,9 @@ class WittRing(Ring):
         self.minimal_poly = minimal_poly
         self._modulus = p**level
         self._frob_cols = None
+        # None: log tables due on first use; False: multiply by convolution
+        tabled = level == 1 and f > 1 and p**f <= LOG_TABLE_MAX_Q
+        self._tables = None if tabled else False
         self._zero = RingElem(self, (0,) * f)
         one = (1,) + (0,) * (f - 1)
         self._one = RingElem(self, one)
@@ -403,10 +443,21 @@ class WittRing(Ring):
         return tuple((x - y) % m for x, y in zip(a, b))
 
     def _mul(self, a, b):
+        tables = self._tables
+        if tables:
+            log, exp = tables
+            return exp[log[a] + log[b]]
+        if self.f == 1:
+            return ((a[0] * b[0]) % self._modulus,)
+        if tables is None:
+            log, exp = self._field_tables()
+            return exp[log[a] + log[b]]
+        return self._conv_mul(a, b)
+
+    def _conv_mul(self, a, b):
+        """Product by convolution and reduction mod the minimal polynomial."""
         m = self._modulus
         f = self.f
-        if f == 1:
-            return ((a[0] * b[0]) % m,)
         conv = [0] * (2 * f - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -421,6 +472,32 @@ class WittRing(Ring):
                 for i in range(f):
                     conv[off + i] = (conv[off + i] - c * mp[i]) % m
         return tuple(conv[:f])
+
+    def _field_tables(self):
+        """(log, exp) for a tabled field, built on first use; else False.
+
+        log maps each element to its discrete log base a generator g of
+        F_q^*, and zero to 2(q-1).  exp holds g^0 .. g^(2q-3) followed by
+        zeros, so exp[log[a] + log[b]] is a*b with no reduction and any
+        product with zero lands on zero.
+        """
+        if self._tables is None:
+            n = self.residue_size - 1
+            p, mp = self.p, list(self.minimal_poly)
+            zero, one = self._zero.data, self._one.data
+            g = next(
+                x
+                for x in self._all_data()
+                if x != zero
+                and all(_poly_powmod(x, n // r, mp, p) != [1] for r in _prime_factors(n))
+            )
+            powers = [one]
+            for _ in range(n - 1):
+                powers.append(self._conv_mul(g, powers[-1]))
+            log = {x: i for i, x in enumerate(powers)}
+            log[zero] = 2 * n
+            self._tables = (log, powers * 2 + [zero] * (2 * n + 1))
+        return self._tables
 
     def _all_data(self):
         m = self._modulus
@@ -444,17 +521,14 @@ class WittRing(Ring):
             total = total * m + c
         return total
 
-    def is_unit(self, x):
-        x = _coerce(self, x)
+    def _is_unit(self, data):
         p = self.p
-        return any(c % p for c in x.data)
+        return any(c % p for c in data)
 
-    def val(self, x):
-        """p-adic valuation, capped at the level for zero."""
-        x = _coerce(self, x)
+    def _val(self, data):
         best = self.level
         p = self.p
-        for c in x.data:
+        for c in data:
             if c:
                 v = 0
                 while c % p == 0:
@@ -640,13 +714,11 @@ class DualNumbersRing(Ring):
             total = total * base + k.encode(RingElem(k, coeff))
         return total
 
-    def is_unit(self, x):
-        x = _coerce(self, x)
-        return any(x.data[0])
+    def _is_unit(self, data):
+        return any(data[0])
 
-    def val(self, x):
-        x = _coerce(self, x)
-        for i, coeff in enumerate(x.data):
+    def _val(self, data):
+        for i, coeff in enumerate(data):
             if any(coeff):
                 return i
         return self.level

@@ -15,6 +15,9 @@ Z25 = make_ring("witt", 5, 1, 2)
 F5 = make_field(5)
 F9 = make_ring("witt", 3, 2, 1)
 D5_3 = make_ring("dual_numbers", 5, 1, 3)
+F25 = make_field(25)
+Z27 = make_ring("witt", 3, 1, 3)
+D3_2 = make_ring("dual_numbers", 3, 1, 2)
 
 
 def random_matrix(ring, n, m, rng):
@@ -107,27 +110,36 @@ def test_kernel_vanishes_for_invertible():
 
 
 def test_kernel_generates_everything_brute_force():
-    # enumerate the full kernel of small matrices over Z/25 and check that the
-    # generating set spans it exactly
+    # enumerate the full kernel of small matrices and check that the
+    # generating set spans it exactly: six over Z/25, then over the tabled
+    # fields F_9 and F_25 and the chain rings Z/27 and F_3[t]/t^2, always
+    # with |R|^ncols <= 10^4; (ring, nrows, ncols, s) scales by pi^s, which
+    # forces torsion generators
     rng = random.Random(13)
-    for _ in range(6):
-        a = random_matrix(Z25, 2, 2, rng)
+    cases = [(Z25, 2, 2, 0)] * 6 + [
+        (F9, 1, 4, 0), (F9, 2, 4, 0), (F9, 3, 4, 0),
+        (F25, 1, 2, 0), (F25, 2, 2, 0),
+        (Z27, 1, 2, 0), (Z27, 2, 2, 0), (Z27, 2, 2, 1), (Z27, 2, 2, 2),
+        (D3_2, 1, 3, 0), (D3_2, 2, 3, 0), (D3_2, 2, 3, 1),
+    ]
+    for ring, nrows, ncols, s in cases:
+        a = random_matrix(ring, nrows, ncols, rng)
+        if s:
+            a = a * ring.pi_pow(s)
         gens = a.kernel_gens()
-        zero = (Z25.zero, Z25.zero)
         true_kernel = {
-            (x, y)
-            for x in Z25.elements()
-            for y in Z25.elements()
-            if a.matvec((x, y)) == zero
+            v
+            for v in itertools.product(ring.elements(), repeat=ncols)
+            if a.matvec(v) == (ring.zero,) * nrows
         }
-        spanned = {zero}
+        spanned = {(ring.zero,) * ncols}
         for g in gens:
             spanned = {
-                (v[0] + c * g[0], v[1] + c * g[1])
+                tuple(x + c * y for x, y in zip(v, g))
                 for v in spanned
-                for c in Z25.elements()
+                for c in ring.elements()
             }
-        assert spanned == true_kernel
+        assert spanned == true_kernel, (ring, a)
 
 
 def test_kernel_with_torsion_generators():

@@ -7,13 +7,15 @@ import random
 import pytest
 
 from flab.errors import InvalidInput, RingMismatch
-from flab.rings import make_field, make_ring, make_small_surjection
+from flab.rings import LOG_TABLE_MAX_Q, make_field, make_ring, make_small_surjection
 
 Z25 = make_ring("witt", 5, 1, 2)
 F9 = make_ring("witt", 3, 2, 1)
 W9_3 = make_ring("witt", 3, 2, 3)
 D5_2 = make_ring("dual_numbers", 5, 1, 2)
 D9_2 = make_ring("dual_numbers", 3, 2, 2)
+# the log-tabled fields that the benchmark workloads use
+TABLED_Q = (9, 25, 27, 49, 121, 169)
 
 
 def sample_rings():
@@ -102,7 +104,10 @@ def test_cross_ring_arithmetic_is_rejected():
 
 
 def test_inverse_on_all_units_of_small_rings():
-    for ring in [Z25, F9, D5_2]:
+    # Z/p^n inverts by pow(a, -1, p^n), F_9 ... F_169 through log tables
+    prime_witt = [make_ring("witt", p, 1, n) for p in (3, 5, 7) for n in (1, 2, 3)]
+    tabled = [make_field(q) for q in TABLED_Q]
+    for ring in [Z25, F9, D5_2] + prime_witt + tabled:
         for x in ring.elements():
             if ring.is_unit(x):
                 assert x * ring.inv(x) == ring.one
@@ -118,6 +123,28 @@ def test_inverse_on_random_units():
             x = ring.random_unit(rng)
             assert x * ring.inv(x) == ring.one
             assert (ring.one / x) * x == ring.one
+
+
+def test_log_tables_match_convolution():
+    # every tabled field of the benchmark workloads against the kept
+    # convolution product, on all pairs
+    for q in TABLED_Q:
+        ring = make_field(q)
+        assert ring._field_tables()
+        data = list(ring._all_data())
+        for a in data:
+            for b in data:
+                assert ring._mul(a, b) == ring._conv_mul(a, b), (q, a, b)
+
+
+def test_log_table_cap_verdict():
+    # only the verdict: no table is built, and nothing runs at these sizes
+    assert LOG_TABLE_MAX_Q == 2**12
+    assert make_field(2**12)._tables is not False  # tabled, built on first use
+    assert make_ring("witt", 257, 2, 1)._field_tables() is False
+    assert make_field(3**8)._tables is False
+    assert make_ring("witt", 3, 2, 2)._tables is False
+    assert make_field(7)._tables is False
 
 
 def test_unit_sqrt_frozen_values():
