@@ -7,7 +7,7 @@ import random
 import pytest
 
 from flab.errors import InvalidInput, RingMismatch
-from flab.rings import LOG_TABLE_MAX_Q, make_field, make_ring, make_small_surjection
+from flab.rings import make_field, make_ring, make_small_surjection
 
 Z25 = make_ring("witt", 5, 1, 2)
 F9 = make_ring("witt", 3, 2, 1)
@@ -138,8 +138,8 @@ def test_log_tables_match_convolution():
 
 
 def test_log_table_cap_verdict():
-    # only the verdict: no table is built, and nothing runs at these sizes
-    assert LOG_TABLE_MAX_Q == 2**12
+    # only the verdict, at the edges of the cap (2^12 tabled, 3^8 not) and
+    # well above it; no table is built here
     assert make_field(2**12)._tables is not False  # tabled, built on first use
     assert make_ring("witt", 257, 2, 1)._field_tables() is False
     assert make_field(3**8)._tables is False
