@@ -20,7 +20,7 @@ from .errors import InvalidInput
 from .linalg import Matrix
 from .modules import FLBlock, FLModule
 from .pairing import LData, PairedFLModule
-from .rings import make_ring
+from .rings import make_field, make_ring
 
 
 def dumps_canonical(obj):
@@ -43,6 +43,19 @@ def ring_to_dict(ring):
 
 def ring_from_dict(doc):
     ring = make_ring(doc["family"], int(doc["p"]), int(doc["f"]), int(doc["level"]))
+    return _check_minimal_poly(ring, doc)
+
+
+def _module_ring_from_dict(doc):
+    # module documents also hold F_{2^f}: the simple-module embeddings are
+    # written over any finite field (make_field), pairings never are
+    family, p, f, level = doc["family"], int(doc["p"]), int(doc["f"]), int(doc["level"])
+    if family == "witt" and p == 2 and f >= 1 and level == 1:
+        return _check_minimal_poly(make_field(p**f), doc)
+    return ring_from_dict(doc)
+
+
+def _check_minimal_poly(ring, doc):
     stated = [int(c) for c in doc["minimal_poly"]]
     if stated != list(ring.minimal_poly):
         raise InvalidInput(
@@ -93,7 +106,10 @@ def module_to_dict(module):
 
 
 def module_from_dict(doc):
-    ring = ring_from_dict(doc["ring"])
+    return _module_from_dict(doc, _module_ring_from_dict(doc["ring"]))
+
+
+def _module_from_dict(doc, ring):
     rank = int(doc["rank"])
     bounds = (int(doc["bounds"][0]), int(doc["bounds"][1]))
     blocks = [
@@ -122,7 +138,7 @@ def paired_to_dict(paired):
 
 
 def paired_from_dict(doc):
-    module = module_from_dict(doc)
+    module = _module_from_dict(doc, ring_from_dict(doc["ring"]))
     pdoc = doc["pairing"]
     ring = module.ring
     L = LData(

@@ -21,19 +21,19 @@ factor 2 (a unit, p odd).
 
 from __future__ import annotations
 
-from .errors import (
-    InternalRankFailure,
-    InvalidInput,
-    MultiplicityNotFree,
-    RangeViolation,
-    RingMismatch,
-)
+from .errors import InternalRankFailure, InvalidInput, RingMismatch
 from .linalg import Matrix
-from .modules import FLBlock, FLModule, validate
-from .modules import reduce as reduce_module
+from .modules import (
+    FLBlock,
+    FLModule,
+    check_multiplicity_free,
+    check_weight_spread,
+    validate,
+)
 from .pairing import (
     LData,
     PairedFLModule,
+    _normalize,
     normalize_standard,
     reduce_paired,
     sign_function,
@@ -44,7 +44,11 @@ from .rings import make_ring, make_small_surjection
 
 
 class LiftProblem:
-    """A valid paired module plus the small surjection to lift through."""
+    """A valid paired module plus the small surjection to lift through.
+
+    Construction checks the base once: module and pairing axioms, distinct
+    weights per block and a weight spread of at most (p-2)/2.
+    """
 
     __slots__ = ("base", "surj", "kernel_elem")
 
@@ -53,19 +57,20 @@ class LiftProblem:
             raise RingMismatch("base must live over the target of the surjection")
         validate(base.module)
         validate_pairing(base)
-        for tau, blk in enumerate(base.module.blocks):
-            if len(set(blk.weights)) != blk.rank:
-                raise MultiplicityNotFree(f"block {tau} has repeated weights")
-        weights = [w for blk in base.module.blocks for w in blk.weights]
-        spread = max(weights) - min(weights)
-        p = base.module.ring.p
-        if 2 * spread > p - 2:
-            raise RangeViolation(
-                f"weight spread {spread} exceeds (p-2)/2 for p = {p}"
-            )
+        check_multiplicity_free(base.module)
+        check_weight_spread(base.module)
         self.base = base
         self.surj = surj
         self.kernel_elem = surj.kernel_gen
+
+
+def _checked_problem(base, surj):
+    # a LiftProblem whose base the caller has already validated
+    prob = object.__new__(LiftProblem)
+    prob.base = base
+    prob.surj = surj
+    prob.kernel_elem = surj.kernel_gen
+    return prob
 
 
 class CorrectionSystem:
@@ -160,10 +165,13 @@ class CorrectionSystem:
 
 def build_correction_system(prob, initial_lift=None):
     """Normalize the base, lift canonically (or take the given lift), and
-    assemble per-block defects and coefficients over the residue field."""
+    assemble per-block defects and coefficients over the residue field.
+
+    prob checked its base when it was built, so the base is normalized
+    without running validate_pairing again."""
     surj = prob.surj
     upper = surj.source
-    norm = normalize_standard(prob.base)
+    norm = _normalize(prob.base)
     base = norm.pairing
     module = base.module
     ring = module.ring
@@ -327,7 +335,10 @@ def residual(system, deltas):
 
 def lift_small(prob):
     """One-step lift: returns P′ over the source ring, in standard form, with
-    reduce_paired(P′) equal to the normalized base bit-for-bit."""
+    reduce_paired(P′) equal to the normalized base bit-for-bit.
+
+    The result is checked once: module axioms, pairing axioms and the
+    reduction to the base."""
     system = build_correction_system(prob)
     deltas = solve_correction(system)
     surj = prob.surj
@@ -389,6 +400,9 @@ def lift_tower(base, n, family="witt"):
 
     The base must live over the residue field; it is normalized first, so the
     chain starts at its standard form and every successive reduction is exact.
+    normalize_standard validates the base pairing; for n >= 2 the other
+    LiftProblem checks run once on the start, and each lift_small checks
+    only its result, which is the next level's base.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInput("tower depth must be a positive integer")
@@ -401,9 +415,13 @@ def lift_tower(base, n, family="witt"):
     level1 = make_ring(family, ring.p, ring.f, 1)
     if level1 != ring:
         start = _transport_level1(start, level1)
+    if n > 1:
+        # normalize_standard has checked the pairing and the distinct weights
+        validate(start.module)
+        check_weight_spread(start.module)
     chain = [start]
     for level in range(2, n + 1):
         upper = make_ring(family, ring.p, ring.f, level)
         surj = make_small_surjection(upper)
-        chain.append(lift_small(LiftProblem(chain[-1], surj)))
+        chain.append(lift_small(_checked_problem(chain[-1], surj)))
     return chain

@@ -327,10 +327,18 @@ class Matrix:
                 break
             pi, pj = best
             pivot = RingElem(ring, B[pi][pj])
+            # a unit pivot is inverted once; a non-unit one divides exactly
+            inv_p = ring.inv(pivot).data if best_val == 0 else None
+
+            def quotient(x):
+                if inv_p is None:
+                    return ring.divide(RingElem(ring, x), pivot).data
+                return mul(x, inv_p)
+
             # clear the pivot column with row operations
             for i in range(self.nrows):
                 if i != pi and B[i][pj] != zero:
-                    q = ring.divide(RingElem(ring, B[i][pj]), pivot).data
+                    q = quotient(B[i][pj])
                     B[i] = [
                         sub(a, mul(q, b)) if b != zero else a
                         for a, b in zip(B[i], B[pi])
@@ -338,7 +346,7 @@ class Matrix:
             # clear the pivot row with column operations, mirrored on W
             for j in range(self.ncols):
                 if j != pj and B[pi][j] != zero:
-                    q = ring.divide(RingElem(ring, B[pi][j]), pivot).data
+                    q = quotient(B[pi][j])
                     for M in (B, W):
                         for row in M:
                             if row[pj] != zero:

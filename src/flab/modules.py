@@ -24,6 +24,7 @@ from __future__ import annotations
 from .errors import (
     BlockRankMismatch,
     InvalidInput,
+    MultiplicityNotFree,
     RangeViolation,
     RingMismatch,
     SingularPhi,
@@ -166,6 +167,24 @@ def validate(module):
                 )
     for tau, blk in enumerate(module.blocks):
         blk.phi.inverse(error=SingularPhi(f"block {tau}"))
+
+
+def check_multiplicity_free(module):
+    """Raise MultiplicityNotFree unless each block has distinct weights."""
+    for tau, blk in enumerate(module.blocks):
+        if len(set(blk.weights)) != blk.rank:
+            raise MultiplicityNotFree(f"block {tau} has repeated weights")
+
+
+def check_weight_spread(module):
+    """Raise RangeViolation unless 2 · (max weight − min weight) <= p − 2."""
+    weights = [w for blk in module.blocks for w in blk.weights]
+    spread = max(weights) - min(weights)
+    p = module.ring.p
+    if 2 * spread > p - 2:
+        raise RangeViolation(
+            f"weight spread {spread} exceeds (p-2)/2 for p = {p}"
+        )
 
 
 def phi_column(module, tau, i, j):

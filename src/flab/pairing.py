@@ -25,7 +25,6 @@ from .errors import (
     FiltrationViolation,
     InternalRankFailure,
     InvalidInput,
-    MultiplicityNotFree,
     NotPerfect,
     OddRankSymplectic,
     PhiIncompatible,
@@ -33,7 +32,7 @@ from .errors import (
     SymmetryViolation,
 )
 from .linalg import Matrix
-from .modules import FLBlock, FLModule
+from .modules import FLBlock, FLModule, check_multiplicity_free
 from .modules import reduce as _reduce_module
 from .rings import RingElem
 
@@ -213,7 +212,13 @@ def _divided_adapted(V, weights):
 
 
 def validate_pairing(paired):
-    """Check all pairing axioms; module validity is the caller's precondition."""
+    """Check all pairing axioms; module validity is the caller's precondition.
+
+    The public entry points call it: once on each input pairing
+    (normalize_standard, LiftProblem, delta_space) and once on each pairing
+    they return (normalize_standard, lift_small).  Private paths between
+    them, such as _normalize, do not repeat it.
+    """
     module = paired.module
     L = paired.L
     ring = module.ring
@@ -338,20 +343,35 @@ def normalize_standard(paired, unit_reduce=False):
     ω_τ = 1, odd ranks keep the middle self-pairing as ω_τ.  With unit_reduce
     the odd-rank ω_τ is further scaled by a unit square to the canonical lift
     of its residue.
+
+    validate_pairing runs here on the input and on the result; module
+    validity stays the caller's precondition.  Callers holding an already
+    validated pairing use _normalize.
     """
     validate_pairing(paired)
+    result = _normalize(paired, unit_reduce)
+    validate_pairing(result.pairing)
+    return result
+
+
+def _normalize(paired, unit_reduce=False):
+    """normalize_standard without the pairing checks; paired must be valid.
+
+    Keeps the multiplicity check and the exact standard-form comparison.  A
+    pairing already in standard form is returned as it is, with identity
+    changes of basis.
+    """
     module = paired.module
     ring = module.ring
     eps = paired.L.epsilon
     rank = module.rank
-    for tau, blk in enumerate(module.blocks):
-        if len(set(blk.weights)) != rank:
-            raise MultiplicityNotFree(f"block {tau} has repeated weights")
+    check_multiplicity_free(module)
+    identity = Matrix.identity(ring, rank)
     vs = []
     omegas = []
     for tau, blk in enumerate(module.blocks):
         G = [list(row) for row in paired.gram[tau].rows]
-        V = [list(row) for row in Matrix.identity(ring, rank).rows]
+        V = [list(row) for row in identity.rows]
         for j in range((rank + 1) // 2):
             js = rank - 1 - j
             pivot = G[j][js]
@@ -382,14 +402,16 @@ def normalize_standard(paired, unit_reduce=False):
                     _col_scale(G, V, a, omega * ring.inv(g))
         vs.append(Matrix(ring, V, ncols=rank))
         omegas.append(omega)
-    normalized = change_basis(paired, vs)
+    if all(V == identity for V in vs):
+        normalized = paired
+    else:
+        normalized = change_basis(paired, vs)
     for tau in range(module.witt_degree):
         expected = omegas[tau] * standard_gram(ring, rank, eps)
         if normalized.gram[tau] != expected:
             raise InternalRankFailure(
                 f"normalization of block {tau} missed the standard form"
             )
-    validate_pairing(normalized)
     return NormalizationResult(
         normalized, vs, omegas, (blk.phi for blk in module.blocks)
     )

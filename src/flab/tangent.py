@@ -24,16 +24,10 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (
-    EnumerationTooLarge,
-    InternalRankFailure,
-    InvalidInput,
-    MultiplicityNotFree,
-    RangeViolation,
-)
+from .errors import EnumerationTooLarge, InternalRankFailure, InvalidInput
 from .feasibility import GroupType, root_data
 from .linalg import Matrix
-from .modules import validate
+from .modules import check_multiplicity_free, check_weight_spread, validate
 from .pairing import normalize_standard, validate_pairing
 
 SIZE_GUARD = 10**6
@@ -59,12 +53,6 @@ class TangentReport:
 
     def __repr__(self):
         return f"TangentReport({self.as_dict()})"
-
-
-def _check_multiplicity_free(module):
-    for tau, blk in enumerate(module.blocks):
-        if len(set(blk.weights)) != blk.rank:
-            raise MultiplicityNotFree(f"block {tau} has repeated weights")
 
 
 def _zero_element(paired):
@@ -122,7 +110,7 @@ def delta_space(paired):
 
 def fil0_subspace(paired, delta_basis):
     """Sub-basis of the span of delta_basis preserving the filtration."""
-    _check_multiplicity_free(paired.module)
+    check_multiplicity_free(paired.module)
     kring = paired.module.ring
     module = paired.module
     delta_basis = list(delta_basis)
@@ -180,19 +168,17 @@ def _num_pos_roots(epsilon, rank):
 
 
 def tangent_report(paired):
-    """All four dimensions of the exact sequence plus the root-count check."""
-    validate(paired.module)
-    validate_pairing(paired)
-    _check_multiplicity_free(paired.module)
-    weights = [w for blk in paired.module.blocks for w in blk.weights]
-    spread = max(weights) - min(weights)
-    p = paired.module.ring.p
-    if 2 * spread > p - 2:
-        raise RangeViolation(
-            f"weight spread {spread} exceeds (p-2)/2 for p = {p}"
-        )
+    """All four dimensions of the exact sequence plus the root-count check.
+
+    Each input check runs once, in the first space that needs it:
+    delta_space validates the module and the pairing, fil0_subspace checks
+    for distinct weights, and the weight spread is checked before the end
+    space.  The errors and their order are those of checking everything
+    up front, since neither kernel computation can fail on valid input.
+    """
     delta = delta_space(paired)
     fil0 = fil0_subspace(paired, delta)
+    check_weight_spread(paired.module)
     end = end_mf_pairing(paired, fil0)
     fprime = paired.module.witt_degree
     dim_tangent = len(delta) - len(fil0) + len(end)

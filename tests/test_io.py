@@ -23,6 +23,7 @@ from flab.io import (
 from flab.modules import FLModule
 from flab.pairing import PairedFLModule
 from flab.rings import make_field, make_ring
+from flab.simples import SimpleSpec, all_embeddings
 from flab.testing import canon2 as make_canon2
 from flab.testing import pcanon2 as make_pcanon2
 
@@ -126,3 +127,31 @@ def test_pcanon2_document_shape(pcanon2):
     assert doc["pairing"]["epsilon"] == -1
     assert doc["pairing"]["L"] == {"s": [1], "c": [[1]]}
     assert doc["pairing"]["gram"] == [[[[0], [1]], [[4], [0]]]]
+
+
+def test_f2_module_documents_round_trip():
+    # tensor-simples --embeddings writes its sources over F_2
+    embeddings = all_embeddings(SimpleSpec(1, (0,)), SimpleSpec(1, (0,)), 2)
+    assert embeddings
+    for emb in embeddings:
+        text = dumps_canonical(module_to_dict(emb.source))
+        back = document_to_object(json.loads(text))
+        assert back == emb.source
+        assert back.ring == make_field(2)
+        assert dumps_canonical(object_to_document(back)) == text
+
+
+def test_f2_stays_rejected_outside_module_documents(pcanon2):
+    odd_only = "p odd required for unit square roots and pairing normalization"
+    f2 = ring_to_dict(make_field(2))
+    with pytest.raises(InvalidInput, match=odd_only):
+        ring_from_dict(f2)
+    doc = paired_to_dict(pcanon2)
+    doc["ring"] = f2
+    with pytest.raises(InvalidInput, match=odd_only):
+        document_to_object(doc)
+    for family, level in (("witt", 2), ("dual_numbers", 1)):
+        module_doc = module_to_dict(make_canon2())
+        module_doc["ring"] = dict(f2, family=family, level=level)
+        with pytest.raises(InvalidInput, match=odd_only):
+            document_to_object(module_doc)

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+import flab.lifting
+import flab.pairing
 from flab.errors import (
+    FlabError,
     InvalidInput,
     MultiplicityNotFree,
     RangeViolation,
@@ -243,3 +246,88 @@ def test_problem_rejects_mismatched_rings(pcanon2):
     surj = make_small_surjection(make_ring("witt", 7, 1, 2))
     with pytest.raises(RingMismatch):
         LiftProblem(pcanon2, surj)
+
+
+# -- validate once --------------------------------------------------------------
+
+
+def _count_validate_pairing(monkeypatch):
+    calls = []
+
+    def counting(paired):
+        calls.append(paired)
+        return validate_pairing(paired)
+
+    monkeypatch.setattr(flab.pairing, "validate_pairing", counting)
+    monkeypatch.setattr(flab.lifting, "validate_pairing", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["witt", "dual_numbers"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tower_validates_each_pairing_once(monkeypatch, n, family):
+    base = random_paired_module(random.Random(31), make_field(7), 3, 1, s=2)
+    calls = _count_validate_pairing(monkeypatch)
+    chain = lift_tower(base, n, family=family)
+    assert len(chain) == n
+    # the base and its normal form, then each lifted level once
+    assert 0 < len(calls) <= n + 1
+
+
+def test_lift_small_checks_only_its_result(monkeypatch):
+    paired = random_paired_module(random.Random(37), make_field(5), 2, -1, s=1)
+    prob = LiftProblem(paired, make_small_surjection(make_ring("witt", 5, 1, 2)))
+    calls = _count_validate_pairing(monkeypatch)
+    lifted = lift_small(prob)
+    assert calls == [lifted]
+
+
+def _invalid_bases():
+    k = make_field(5)
+    symmetric = _paired(k, (0, 1), [[1, 0], [0, 1]], -1, 1)
+    return {
+        "symmetry": PairedFLModule(
+            symmetric.module, symmetric.L, (Matrix(k, [[0, 1], [1, 0]]),)
+        ),
+        "singular_phi": _paired(k, (0, 1), [[1, 0], [0, 0]], -1, 1),
+        "repeated_weights": _paired(k, (0, 0), [[1, 0], [0, 1]], -1, 0),
+        "weight_spread": _paired(k, (0, 2), [[1, 0], [0, 1]], -1, 2),
+        "weight_bounds": _paired(k, (0, 1), [[1, 0], [0, 1]], -1, 1, bounds=(1, 1)),
+    }
+
+
+def _outcome(call):
+    try:
+        call()
+    except FlabError as exc:
+        return f"{type(exc).__name__} {exc}"
+    return None
+
+
+_SYMMETRY = "SymmetryViolation block 0 entry (2, 1)"
+_PHI = "PhiIncompatible block 0"
+_REPEATED = "MultiplicityNotFree block 0 has repeated weights"
+_SPREAD = "RangeViolation weight spread 2 exceeds (p-2)/2 for p = 5"
+_BOUNDS = "WeightOutOfBounds block 0 weight 0 outside [1, 1]"
+
+# case -> outcome of lift_tower at n = 1, 2, 3 and of LiftProblem; depth 1
+# runs no LiftProblem checks, and a singular Φ fails Φ-compatibility before
+# the tower ever validates the module
+FROZEN_ERRORS = {
+    "symmetry": (_SYMMETRY, _SYMMETRY, _SYMMETRY, _SYMMETRY),
+    "singular_phi": (_PHI, _PHI, _PHI, "SingularPhi block 0"),
+    "repeated_weights": (_REPEATED, _REPEATED, _REPEATED, _REPEATED),
+    "weight_spread": (None, _SPREAD, _SPREAD, _SPREAD),
+    "weight_bounds": (None, _BOUNDS, _BOUNDS, _BOUNDS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ERRORS))
+def test_invalid_input_errors_are_frozen(case):
+    base = _invalid_bases()[case]
+    *tower, problem = FROZEN_ERRORS[case]
+    for n, expected in enumerate(tower, start=1):
+        for family in ("witt", "dual_numbers"):
+            assert _outcome(lambda: lift_tower(base, n, family=family)) == expected
+    surj = make_small_surjection(make_ring("witt", 5, 1, 2))
+    assert _outcome(lambda: LiftProblem(base, surj)) == problem

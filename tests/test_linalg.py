@@ -156,3 +156,29 @@ def test_zero_row_matrix_kernel():
     a = Matrix(F5, [], ncols=3)
     gens = a.kernel_gens()
     assert len(gens) == 3
+
+
+def test_kernel_inverts_each_unit_pivot_once(monkeypatch):
+    # over a field every pivot is a unit: one inversion per pivot, and the
+    # quotients are products with it, never Ring.divide
+    ring = F25
+    counts = {"inv": 0, "divide": 0}
+    inv, divide = type(ring).inv, type(ring).divide
+
+    def counting_inv(self, x):
+        counts["inv"] += 1
+        return inv(self, x)
+
+    def counting_divide(self, a, b):
+        counts["divide"] += 1
+        return divide(self, a, b)
+
+    rng = random.Random(41)
+    m = random_matrix(ring, 4, 7, rng)
+    monkeypatch.setattr(type(ring), "inv", counting_inv)
+    monkeypatch.setattr(type(ring), "divide", counting_divide)
+    gens = m.kernel_gens()
+    rank = 7 - len(gens)
+    assert counts == {"inv": rank, "divide": 0}
+    for g in gens:
+        assert m * Matrix(ring, [[x] for x in g]) == Matrix.zero(ring, 4, 1)

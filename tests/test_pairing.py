@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+import flab.pairing
 from flab.errors import (
     FiltrationViolation,
+    FlabError,
     InvalidInput,
     MultiplicityNotFree,
     NotPerfect,
@@ -264,3 +266,68 @@ def test_change_basis_rejects_non_adapted():
     bad = Matrix(ring, [[1, 1], [0, 1]])  # sends weight-0 vector into weight 1 slot
     with pytest.raises(InvalidInput):
         change_basis(p, [bad])
+
+
+def test_normalize_keeps_standard_input_without_a_basis_change(monkeypatch):
+    odd = normalize_standard(
+        random_paired_module(random.Random(107), make_field(7), 3, 1, s=2)
+    ).pairing
+    cases = [pcanon2(), pcanon2(make_ring("witt", 5, 1, 3)), odd]
+    calls = []
+
+    def counting(paired):
+        calls.append(paired)
+        return validate_pairing(paired)
+
+    monkeypatch.setattr(flab.pairing, "validate_pairing", counting)
+    monkeypatch.setattr(
+        flab.pairing, "change_basis", lambda *args: pytest.fail("change_basis called")
+    )
+    for paired in cases:
+        calls.clear()
+        result = normalize_standard(paired)
+        ring = paired.module.ring
+        rank = paired.module.rank
+        assert result.pairing == paired
+        assert result.change_of_basis == (Matrix.identity(ring, rank),)
+        assert result.pairing.gram[0] == result.omega[0] * standard_gram(
+            ring, rank, paired.L.epsilon
+        )
+        assert len(calls) == 2  # the input and the result, once each
+
+
+def _outcome(call):
+    try:
+        call()
+    except FlabError as exc:
+        return f"{type(exc).__name__} {exc}"
+    return None
+
+
+def test_normalize_invalid_input_errors_are_frozen():
+    ring = make_field(5)
+
+    def paired(weights, phi, s, gram=None):
+        module = FLModule(
+            ring, (min(weights), max(weights)), [FLBlock(weights, Matrix(ring, phi))]
+        )
+        if gram is None:
+            gram = standard_gram(ring, 2, -1)
+        return PairedFLModule(module, LData(-1, (s,), (ring.one,)), (gram,))
+
+    cases = [
+        (
+            paired((0, 1), [[1, 0], [0, 1]], 1, Matrix(ring, [[0, 1], [1, 0]])),
+            "SymmetryViolation block 0 entry (2, 1)",
+        ),
+        (paired((0, 1), [[1, 0], [0, 0]], 1), "PhiIncompatible block 0"),
+        (
+            paired((0, 0), [[1, 0], [0, 1]], 0),
+            "MultiplicityNotFree block 0 has repeated weights",
+        ),
+        # the weight spread only matters for lifting
+        (paired((0, 2), [[1, 0], [0, 1]], 2), None),
+    ]
+    for case, expected in cases:
+        for unit_reduce in (False, True):
+            assert _outcome(lambda: normalize_standard(case, unit_reduce)) == expected
