@@ -30,7 +30,7 @@ from .errors import (
     SizeGuardExceeded,
 )
 from .linalg import Matrix
-from .rings import _prime_factors, make_field
+from .rings import _split_prime_power, make_field
 
 DEFAULT_SIZE_GUARD = 2**24
 SIZE_GUARD_ENV = "FLAB_SIZE_GUARD"
@@ -39,20 +39,10 @@ SIZE_GUARD_ENV = "FLAB_SIZE_GUARD"
 def prime_power(q):
     """Split q = p^e with p prime; raise InvalidInput otherwise."""
     q = int(q)
-    if q < 2:
+    split = _split_prime_power(q)
+    if split is None:
         raise InvalidInput(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1 if p == 2 else 2
-    if q % p:
-        p = q
-    n, e = q, 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise InvalidInput(f"{q} is not a prime power")
-    return p, e
+    return split
 
 
 def size_limit(size_guard=None):
@@ -62,35 +52,12 @@ def size_limit(size_guard=None):
     return int(os.environ.get(SIZE_GUARD_ENV, DEFAULT_SIZE_GUARD))
 
 
-def _element_by_encoding(field, code):
-    data = []
-    for _ in range(field.f):
-        data.append(code % field.p)
-        code //= field.p
-    return field.elem(tuple(data))
-
-
-def _multiplicative_order_is(x, n):
-    """True when x has exact multiplicative order n (n = full group order)."""
-    one = x.ring.one
-    if x**n != one:
-        return False
-    return all(x ** (n // ell) != one for ell in _prime_factors(n))
-
-
 @lru_cache(maxsize=None)
 def field_generator(field):
     """Smallest-encoding generator of the multiplicative group of a field."""
     if not field.is_field():
         raise InvalidInput("multiplicative generators require a field")
-    n = field.size - 1
-    if n == 1:
-        return field.one
-    for code in range(2, field.size):
-        cand = _element_by_encoding(field, code)
-        if _multiplicative_order_is(cand, n):
-            return cand
-    raise InternalRankFailure("no multiplicative generator found")
+    return field.elem(field._generator_data())
 
 
 def _check_subfield_degree(big, q, d):

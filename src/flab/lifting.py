@@ -120,9 +120,12 @@ class CorrectionSystem:
         std_k = standard_gram(self.kring, self.rank, self.epsilon)
         return std_k * self.coeff[tau]
 
-    def diagonal_block(self, tau, a):
-        """Matrix of the equations with first index a acting on Δ column a."""
-        F = self._functionals(tau)
+    def diagonal_block(self, tau, a, functionals=None):
+        """Matrix of the equations with first index a acting on Δ column a.
+
+        These are the blocks solve_correction solves; functionals is
+        _functionals(tau) when the caller already holds it."""
+        F = self._functionals(tau) if functionals is None else functionals
         rows = []
         start = a if self.epsilon == 1 else a + 1
         for b in range(start, self.rank):
@@ -140,24 +143,20 @@ class CorrectionSystem:
         r = self.rank
         eps = self.epsilon
         F = self._functionals(tau)
-        zero_row = [k.zero] * r
         grid = []
         for i in range(r):
             a = r - 1 - i
             start = a if eps == 1 else a + 1
-            height = r - start
             row_of_blocks = []
             for j in range(r):
                 target = r - 1 - j
-                rows = [list(zero_row) for _ in range(height)]
-                for pos, b in enumerate(range(start, r)):
-                    if target == a:
-                        col = F.col(b)
-                        rows[pos] = (
-                            [2 * x for x in col] if b == a else list(col)
-                        )
-                    elif target == b and b != a:
-                        rows[pos] = [eps * x for x in F.col(a)]
+                if target == a:
+                    row_of_blocks.append(self.diagonal_block(tau, a, F))
+                    continue
+                # the equation (a, target) is the only one touching column target
+                rows = [[k.zero] * r for _ in range(start, r)]
+                if target >= start:
+                    rows[target - start] = [eps * x for x in F.col(a)]
                 row_of_blocks.append(Matrix(k, rows, ncols=r))
             grid.append(row_of_blocks)
         return grid
@@ -285,7 +284,6 @@ def solve_correction(system):
     back-substitution on the column blocks."""
     k = system.kring
     r = system.rank
-    eps = system.epsilon
     sign = system.sign
     deltas = []
     for tau in range(system.witt_degree):
@@ -294,16 +292,14 @@ def solve_correction(system):
         F = system._functionals(tau)
         cols = {}
         for a in range(r - 1, -1, -1):
-            rows = []
-            rhs = []
-            if eps == 1:
-                rows.append([2 * x for x in F.col(a)])
-                rhs.append(dmat[a, a])
-            for b in range(a + 1, r):
-                rows.append(list(F.col(b)))
-                rhs.append(dmat[a, b] - _pair_value(sign, cbar.col(a), cols[b]))
+            block = system.diagonal_block(tau, a, F)
+            rhs = [
+                dmat[a, b] if b == a
+                else dmat[a, b] - _pair_value(sign, cbar.col(a), cols[b])
+                for b in range(r - block.nrows, r)
+            ]
             cols[a] = (
-                _solve_full_row_rank(k, rows, rhs, r) if rows else [k.zero] * r
+                _solve_full_row_rank(k, block.rows, rhs, r) if rhs else [k.zero] * r
             )
         deltas.append(
             Matrix(k, [[cols[a][u] for a in range(r)] for u in range(r)], ncols=r)

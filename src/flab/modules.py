@@ -14,6 +14,12 @@ p^{w_{τ,i} - j} * (column i of Φ_τ) for j <= w_{τ,i}.  The semilinearity of 
 is exhausted by the τ -> τ+1 block shift, so each Φ_τ is an honest R-linear
 matrix.
 
+A filtered map A between adapted bases is read through this divided
+Frobenius: entry (u, a) must vanish when w_u < w_a and is otherwise scaled by
+p^{w_u - w_a}.  first_unadapted and divided are the one home of that weight
+shift; morphisms, changes of basis and Gram matrices (row weights s - w_i)
+all go through them.
+
 Operations: validation of the axioms, Tate twist, tensor product, dual
 relative to a rank-1 twisting datum, base change along level maps, and
 morphism spaces.
@@ -312,24 +318,42 @@ def reduce(module, surj):
 # morphisms
 
 
-def _filtration_ok(A, dom_weights, cod_weights):
-    for u in range(A.nrows):
-        for a in range(A.ncols):
-            if cod_weights[u] < dom_weights[a] and A[u, a]:
-                return False
-    return True
+def first_unadapted(A, row_weights, col_weights):
+    """First (u, a) in row-major order with A[u, a] != 0 although
+    row_weights[u] < col_weights[a]; None when A respects the weights."""
+    zero = A.ring.zero.data
+    for u, row in enumerate(A.rows):
+        wu = row_weights[u]
+        for a, x in enumerate(row):
+            if wu < col_weights[a] and x.data != zero:
+                return u, a
+    return None
 
 
-def _divided_action(ring, A, dom_weights, cod_weights):
-    """Entrywise p^{w_cod_u - w_dom_a} A[u,a]; zero where the exponent is negative."""
+def divided(A, row_weights, col_weights):
+    """The divided matrix p^{row_weights[u] - col_weights[a]} A[u, a].
+
+    Entries with a negative gap become zero; callers that need them to
+    vanish check first_unadapted.
+    """
+    ring = A.ring
+    mul = ring._mul
+    zero = ring.zero.data
+    scales = {}
     rows = []
-    for u in range(A.nrows):
-        row = []
-        for a in range(A.ncols):
-            gap = cod_weights[u] - dom_weights[a]
-            row.append(ring.pi_pow(gap) * A[u, a] if gap >= 0 else ring.zero)
-        rows.append(row)
-    return Matrix(ring, rows, ncols=A.ncols)
+    for u, row in enumerate(A.rows):
+        wu = row_weights[u]
+        out = []
+        for a, x in enumerate(row):
+            gap = wu - col_weights[a]
+            if gap < 0 or x.data == zero:
+                out.append(zero)
+                continue
+            if gap not in scales:
+                scales[gap] = ring.pi_pow(gap).data
+            out.append(mul(scales[gap], x.data))
+        rows.append(out)
+    return Matrix._from_data(ring, rows, A.ncols)
 
 
 def is_morphism(maps, domain, codomain):
@@ -339,19 +363,14 @@ def is_morphism(maps, domain, codomain):
     fprime = domain.witt_degree
     if codomain.witt_degree != fprime or len(maps) != fprime:
         raise InvalidInput("block count mismatch")
-    ring = domain.ring
+    # maps[tau] sends the domain basis (columns) to the codomain basis (rows)
+    weights = [(codomain.block(t).weights, domain.block(t).weights) for t in range(fprime)]
     for tau in range(fprime):
-        if not _filtration_ok(
-            maps[tau], domain.blocks[tau].weights, codomain.blocks[tau].weights
-        ):
+        if first_unadapted(maps[tau], *weights[tau]) is not None:
             return False
     for tau in range(fprime):
-        stau = (tau + 1) % fprime
-        lhs = maps[stau] * domain.blocks[tau].phi
-        divided = _divided_action(
-            ring, maps[tau], domain.blocks[tau].weights, codomain.blocks[tau].weights
-        )
-        if lhs != codomain.blocks[tau].phi * divided:
+        lhs = maps[(tau + 1) % fprime] * domain.blocks[tau].phi
+        if lhs != codomain.blocks[tau].phi * divided(maps[tau], *weights[tau]):
             return False
     return True
 

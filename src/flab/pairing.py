@@ -12,6 +12,8 @@ The axioms checked by validate_pairing:
 * perfectness: G_τ invertible, which with the filtration support forces the
   weight multiset to be self-dual ({w} = {s_τ - w});
 * Φ-compatibility: Φ_τ^T G_{στ} Φ_τ = c_τ · (p^{s_τ-w_i-w_j} G_τ[i,j])_{ij}.
+  The filtration check and this divided Gram are modules.first_unadapted
+  and modules.divided with row weights s_τ - w_i and column weights w_j.
 
 normalize_standard turns any multiplicity-free valid pairing into an exact
 unit multiple ω_τ of the standard anti-diagonal form by a weight-adapted
@@ -32,7 +34,13 @@ from .errors import (
     SymmetryViolation,
 )
 from .linalg import Matrix
-from .modules import FLBlock, FLModule, check_multiplicity_free
+from .modules import (
+    FLBlock,
+    FLModule,
+    check_multiplicity_free,
+    divided,
+    first_unadapted,
+)
 from .modules import reduce as _reduce_module
 from .rings import RingElem
 
@@ -137,7 +145,7 @@ class NormalizationResult:
         module = self.pairing.module
         old_phi = self._old_phi[tau]
         weights = module.blocks[tau].weights
-        return old_phi * _divided_adapted(self.change_of_basis[tau], weights)
+        return old_phi * divided(self.change_of_basis[tau], weights, weights)
 
     def __repr__(self):
         return f"NormalizationResult(omega={self.omega})"
@@ -178,35 +186,6 @@ def gram_transform(G, C):
     return C.transpose() * G * C
 
 
-def _divided_gram(ring, G, weights, s):
-    """Entrywise p^{s - w_i - w_j} G[i,j]; entries must vanish where the
-    exponent would be negative (validated beforehand)."""
-    r = G.nrows
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            e = s - weights[i] - weights[j]
-            entry = G[i, j]
-            row.append(ring.pi_pow(e) * entry if (entry and e >= 0) else ring.zero)
-        rows.append(row)
-    return Matrix(ring, rows, ncols=r)
-
-
-def _divided_adapted(V, weights):
-    """W[u,a] = p^{w_u - w_a} V[u,a] for a weight-adapted V."""
-    ring = V.ring
-    rows = []
-    for u in range(V.nrows):
-        row = []
-        for a in range(V.ncols):
-            gap = weights[u] - weights[a]
-            entry = V[u, a]
-            row.append(ring.pi_pow(gap) * entry if (entry and gap >= 0) else ring.zero)
-        rows.append(row)
-    return Matrix(ring, rows, ncols=V.ncols)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -221,7 +200,6 @@ def validate_pairing(paired):
     """
     module = paired.module
     L = paired.L
-    ring = module.ring
     eps = L.epsilon
     rank = module.rank
     if eps == -1 and rank % 2:
@@ -230,13 +208,13 @@ def validate_pairing(paired):
         G = paired.gram[tau]
         w = blk.weights
         s = L.s[tau]
-        for i in range(rank):
-            for j in range(rank):
-                if w[i] + w[j] > s and G[i, j]:
-                    raise FiltrationViolation(
-                        f"block {tau} entry ({i + 1}, {j + 1}): "
-                        f"weights {w[i]}+{w[j]} exceed s = {s}"
-                    )
+        bad = first_unadapted(G, [s - x for x in w], w)
+        if bad is not None:
+            i, j = bad
+            raise FiltrationViolation(
+                f"block {tau} entry ({i + 1}, {j + 1}): "
+                f"weights {w[i]}+{w[j]} exceed s = {s}"
+            )
         for i in range(rank):
             for j in range(i, rank):
                 if G[j, i] != eps * G[i, j]:
@@ -248,9 +226,9 @@ def validate_pairing(paired):
         G.inverse(error=NotPerfect(f"block {tau}"))
     for tau, blk in enumerate(module.blocks):
         stau = (tau + 1) % module.witt_degree
-        G = paired.gram[tau]
         lhs = blk.phi.transpose() * paired.gram[stau] * blk.phi
-        rhs = L.c[tau] * _divided_gram(ring, G, blk.weights, L.s[tau])
+        w = blk.weights
+        rhs = L.c[tau] * divided(paired.gram[tau], [L.s[tau] - x for x in w], w)
         if lhs != rhs:
             raise PhiIncompatible(f"block {tau}")
 
@@ -273,19 +251,15 @@ def change_basis(paired, vs):
         raise InvalidInput("one change of basis per block required")
     for tau, V in enumerate(vs):
         weights = module.blocks[tau].weights
-        for u in range(V.nrows):
-            for a in range(V.ncols):
-                if V[u, a] and weights[u] < weights[a]:
-                    raise InvalidInput(
-                        f"block {tau} change of basis is not weight-adapted"
-                    )
+        if first_unadapted(V, weights, weights) is not None:
+            raise InvalidInput(f"block {tau} change of basis is not weight-adapted")
     inverses = [V.inverse(error=InvalidInput("change of basis must be invertible")) for V in vs]
     blocks = []
     grams = []
     for tau in range(fprime):
         stau = (tau + 1) % fprime
         blk = module.blocks[tau]
-        W = _divided_adapted(vs[tau], blk.weights)
+        W = divided(vs[tau], blk.weights, blk.weights)
         blocks.append(FLBlock(blk.weights, inverses[stau] * (blk.phi * W)))
         grams.append(vs[tau].transpose() * paired.gram[tau] * vs[tau])
     new_module = FLModule(ring, module.bounds, blocks)

@@ -47,6 +47,9 @@ from .errors import (
 
 # Level-1 Witt rings F_q with f > 1 and q at most this use log/antilog tables.
 LOG_TABLE_MAX_Q = 2**12
+# Prime powers are split by trial division up to this bound, so any p up to
+# its square is accepted and larger inputs fail fast instead of spinning.
+PRIME_TRIAL_BOUND = 2**20
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (plain int lists, lowest degree first)
@@ -143,28 +146,57 @@ def _is_irreducible(g, p):
     return True
 
 
+def _encoding_order(m, f):
+    """All length-f tuples over range(m), ascending in sum c_i m^i, lazily.
+
+    Unlike itertools.product this never holds range(m) in memory, so a
+    search that stops early stays cheap for a huge m.
+    """
+    if f == 0:
+        yield ()
+        return
+    for high in _encoding_order(m, f - 1):
+        for c in range(m):
+            yield (c,) + high
+
+
 def minimal_polynomial(p, f):
     """Lexicographically smallest monic irreducible of degree f over F_p.
 
     Candidates are ordered by the coefficient tuple (c_{f-1}, ..., c_0);
     returned lowest degree first, including the leading 1.
     """
-    for tail in itertools.product(range(p), repeat=f):
-        coeffs = list(tail[::-1]) + [1]
+    for tail in _encoding_order(p, f):
+        coeffs = list(tail) + [1]
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise InternalRankFailure("no irreducible polynomial found")
 
 
-def _is_prime(n):
+def _split_prime_power(n):
+    """(p, e) with n == p**e and p prime, or None when n is no prime power.
+
+    Trial division stops at sqrt(n); an n with no prime factor up to
+    PRIME_TRIAL_BOUND but above its square raises InvalidInput instead of
+    dividing on.
+    """
     if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+        return None
+    p = 2
+    while n % p:
+        p += 1 if p == 2 else 2
+        if p * p > n:
+            return n, 1
+        if p > PRIME_TRIAL_BOUND:
+            raise InvalidInput(
+                f"{n} has no prime factor up to the trial-division bound "
+                f"{PRIME_TRIAL_BOUND}"
+            )
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +515,9 @@ class WittRing(Ring):
         """
         if self._tables is None:
             n = self.residue_size - 1
-            p, mp = self.p, list(self.minimal_poly)
-            zero, one = self._zero.data, self._one.data
-            g = next(
-                x
-                for x in self._all_data()
-                if x != zero
-                and all(_poly_powmod(x, n // r, mp, p) != [1] for r in _prime_factors(n))
-            )
-            powers = [one]
+            zero = self._zero.data
+            g = self._generator_data()
+            powers = [self._one.data]
             for _ in range(n - 1):
                 powers.append(self._conv_mul(g, powers[-1]))
             log = {x: i for i, x in enumerate(powers)}
@@ -499,10 +525,21 @@ class WittRing(Ring):
             self._tables = (log, powers * 2 + [zero] * (2 * n + 1))
         return self._tables
 
+    def _generator_data(self):
+        """Raw data of the smallest-encoding generator of F_q^*; level 1 only.
+
+        Orders are tested with _poly_powmod, so no log tables are built."""
+        n = self.residue_size - 1
+        p, mp = self.p, list(self.minimal_poly)
+        factors = _prime_factors(n)
+        zero = self._zero.data
+        for x in self._all_data():
+            if x != zero and all(_poly_powmod(x, n // r, mp, p) != [1] for r in factors):
+                return x
+        raise InternalRankFailure("no multiplicative generator found")
+
     def _all_data(self):
-        m = self._modulus
-        for rev in itertools.product(range(m), repeat=self.f):
-            yield rev[::-1]
+        return _encoding_order(self._modulus, self.f)
 
     def _rand_data(self, rng):
         m = self._modulus
@@ -514,10 +551,12 @@ class WittRing(Ring):
         return RingElem(self, (n % self._modulus,) + (0,) * (self.f - 1))
 
     def encode(self, x):
-        x = _coerce(self, x)
+        return self._encode(_coerce(self, x).data)
+
+    def _encode(self, data):
         m = self._modulus
         total = 0
-        for c in reversed(x.data):
+        for c in reversed(data):
             total = total * m + c
         return total
 
@@ -619,18 +658,20 @@ class WittRing(Ring):
         return acc
 
     def frobenius(self, x):
-        x = _coerce(self, x)
+        return RingElem(self, self._frobenius(_coerce(self, x).data))
+
+    def _frobenius(self, data):
         if self.f == 1:
-            return x
+            return data
         cols = self._frobenius_columns()
         m = self._modulus
         out = [0] * self.f
-        for i, ai in enumerate(x.data):
+        for i, ai in enumerate(data):
             if ai:
                 col = cols[i]
                 for j in range(self.f):
                     out[j] = (out[j] + ai * col[j]) % m
-        return RingElem(self, tuple(out))
+        return tuple(out)
 
     def teichmuller(self, x):
         """Multiplicative lift: the unique y = x mod p with y^{p^f} = y."""
@@ -711,7 +752,7 @@ class DualNumbersRing(Ring):
         base = k.size
         total = 0
         for coeff in reversed(x.data):
-            total = total * base + k.encode(RingElem(k, coeff))
+            total = total * base + k._encode(coeff)
         return total
 
     def _is_unit(self, data):
@@ -781,9 +822,7 @@ class DualNumbersRing(Ring):
     def frobenius(self, x):
         x = _coerce(self, x)
         k = self._kring
-        return RingElem(
-            self, tuple(k.frobenius(RingElem(k, c)).data for c in x.data)
-        )
+        return RingElem(self, tuple(k._frobenius(c) for c in x.data))
 
     def teichmuller(self, x):
         raise InvalidInput("teichmuller requires the witt family")
@@ -809,7 +848,7 @@ def make_ring(family, p, f, level):
     """
     if family not in ("witt", "dual_numbers"):
         raise InvalidInput(f"unknown ring family {family!r}")
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or _split_prime_power(p) != (p, 1):
         raise InvalidInput(f"p = {p} is not prime")
     if p == 2:
         raise InvalidInput(
@@ -830,15 +869,10 @@ def make_field(q):
     """
     if not isinstance(q, int) or q < 2:
         raise InvalidInput(f"q = {q!r} is not a prime power")
-    p = _prime_factors(q)[0] if q > 1 else 0
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
+    split = _split_prime_power(q)
+    if split is None:
         raise InvalidInput(f"q = {q} is not a prime power")
-    return _cached_ring("witt", p, e, 1)
+    return _cached_ring("witt", split[0], split[1], 1)
 
 
 # ---------------------------------------------------------------------------

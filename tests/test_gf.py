@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from flab import errors
@@ -17,7 +19,7 @@ from flab.gf import (
     subfield_elements,
     subfield_generator,
 )
-from flab.rings import make_field, make_ring
+from flab.rings import LOG_TABLE_MAX_Q, PRIME_TRIAL_BOUND, make_field, make_ring
 
 
 def test_prime_power_splitting():
@@ -29,8 +31,20 @@ def test_prime_power_splitting():
     assert prime_power(27) == (3, 3)
     assert prime_power(31) == (31, 1)
     for bad in (0, 1, 6, 12, 100):
-        with pytest.raises(errors.InvalidInput):
+        with pytest.raises(errors.InvalidInput, match=f"^{bad} is not a prime power$"):
             prime_power(bad)
+
+
+def test_prime_power_fails_fast_on_a_huge_prime():
+    huge = 2**61 - 1
+    start = time.perf_counter()
+    with pytest.raises(
+        errors.InvalidInput,
+        match=f"^{huge} has no prime factor up to the trial-division bound "
+        f"{PRIME_TRIAL_BOUND}$",
+    ):
+        prime_power(huge)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_field_generator_smallest_encoding():
@@ -55,6 +69,56 @@ def test_field_generator_orders():
             seen.add(field.encode(x))
             x = x * g
         assert len(seen) == q - 1
+
+
+def _prime_powers_up_to(bound):
+    out = []
+    for q in range(2, bound + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        e = 0
+        n = q
+        while n % p == 0:
+            n //= p
+            e += 1
+        if n == 1:
+            out.append((q, p, e))
+    return out
+
+
+def _order_by_counting(field, x):
+    # multiplicative order by repeated convolution products, no log tables
+    one = field.one.data
+    y, n = x, 1
+    while y != one:
+        y = field._conv_mul(y, x)
+        n += 1
+    return n
+
+
+def test_field_generator_against_brute_force_orders():
+    # every field with q <= 512: the smallest-encoding element of order q - 1
+    fields = _prime_powers_up_to(512)
+    assert (2, 2, 1) in fields and (512, 2, 9) in fields and (509, 509, 1) in fields
+    for q, p, e in fields:
+        field = make_field(q)
+        expected = None
+        for code in range(1, q):
+            data = tuple((code // p**i) % p for i in range(e))
+            if _order_by_counting(field, data) == q - 1:
+                expected = data
+                break
+        assert field_generator(field).data == expected, q
+
+
+def test_field_generator_matches_the_log_tables():
+    # every tabled field: the tables are powers of the same generator
+    tabled = [q for q, _, e in _prime_powers_up_to(LOG_TABLE_MAX_Q) if e > 1]
+    assert len(tabled) == 40
+    for q in tabled:
+        field = make_field(q)
+        log, exp = field._field_tables()
+        g = field_generator(field).data
+        assert exp[1] == g and log[g] == 1, q
 
 
 def test_subfield_elements_are_the_frobenius_fixed_points():

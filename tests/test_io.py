@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from flab.cli import main
 from flab.errors import InvalidInput
 from flab.io import (
     document_to_object,
@@ -22,7 +24,7 @@ from flab.io import (
 )
 from flab.modules import FLModule
 from flab.pairing import PairedFLModule
-from flab.rings import make_field, make_ring
+from flab.rings import PRIME_TRIAL_BOUND, make_field, make_ring
 from flab.simples import SimpleSpec, all_embeddings
 from flab.testing import canon2 as make_canon2
 from flab.testing import pcanon2 as make_pcanon2
@@ -155,3 +157,25 @@ def test_f2_stays_rejected_outside_module_documents(pcanon2):
         module_doc["ring"] = dict(f2, family=family, level=level)
         with pytest.raises(InvalidInput, match=odd_only):
             document_to_object(module_doc)
+
+
+def test_huge_prime_fails_fast_through_the_cli(tmp_path, capsys):
+    # a flag and a document both reach the prime-power split; exit code 1
+    huge = 2**61 - 1
+    verdict = (
+        f"InvalidInput {huge} has no prime factor up to the trial-division "
+        f"bound {PRIME_TRIAL_BOUND}"
+    )
+    doc = module_to_dict(make_canon2())
+    doc["ring"]["p"] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_canonical(doc), encoding="utf-8")
+    for argv in (
+        ["tensor-simples", "--h", "1", "--i", "0", "--h2", "1", "--i2", "0",
+         "--q", str(huge), "--embeddings"],
+        ["validate", str(path)],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert verdict in capsys.readouterr().err

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from flab.errors import InvalidInput, RingMismatch
-from flab.rings import make_field, make_ring, make_small_surjection
+from flab.gf import field_generator
+from flab.rings import (
+    PRIME_TRIAL_BOUND,
+    make_field,
+    make_ring,
+    make_small_surjection,
+)
 
 Z25 = make_ring("witt", 5, 1, 2)
 F9 = make_ring("witt", 3, 2, 1)
@@ -26,15 +33,18 @@ def sample_rings():
 
 
 def test_make_ring_rejects_bad_parameters():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^p = 9 is not prime$"):
         make_ring("witt", 9, 1, 1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(
+        InvalidInput,
+        match="^p odd required for unit square roots and pairing normalization$",
+    ):
         make_ring("witt", 2, 1, 1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^unknown ring family 'galois'$"):
         make_ring("galois", 5, 1, 1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^f must be a positive integer$"):
         make_ring("witt", 5, 0, 1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^level must be a positive integer$"):
         make_ring("dual_numbers", 5, 1, 0)
 
 
@@ -42,10 +52,41 @@ def test_make_field_accepts_prime_powers_only():
     assert make_field(4).minimal_poly == (1, 1, 1)
     assert make_field(5).size == 5
     assert make_field(9) == F9
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^q = 12 is not a prime power$"):
         make_field(12)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^q = 1 is not a prime power$"):
         make_field(1)
+
+
+HUGE_PRIME = 2**61 - 1
+HUGE_PRIME_VERDICT = (
+    f"^{HUGE_PRIME} has no prime factor up to the trial-division bound "
+    f"{PRIME_TRIAL_BOUND}$"
+)
+
+
+def test_huge_prime_fails_fast():
+    # 2^61 - 1 is prime, far above the square of the trial-division bound
+    for build in (
+        lambda: make_ring("witt", HUGE_PRIME, 1, 1),
+        lambda: make_ring("dual_numbers", HUGE_PRIME, 1, 1),
+        lambda: make_field(HUGE_PRIME),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match=HUGE_PRIME_VERDICT):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_primes_up_to_the_square_of_the_bound_are_accepted():
+    # the largest prime below 2^40 passes, and neither the minimal polynomial
+    # nor the generator search holds range(p) in memory
+    p = 2**40 - 87
+    assert PRIME_TRIAL_BOUND**2 == 2**40
+    assert make_ring("witt", p, 1, 1).minimal_poly == (0, 1)
+    assert make_field(p).size == p
+    # 2, ..., 12 fail the order test by pow(g, (p - 1) / r, p) for r in 2, 3, 1487, 10269667
+    assert field_generator(make_field(p)) == make_field(p).from_int(13)
 
 
 def test_minimal_polynomials_are_lex_smallest():
