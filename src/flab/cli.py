@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from .errors import FlabError, InvalidInput
 from .feasibility import GroupType, feasibility_report
@@ -37,7 +38,9 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="flab",
         description="Exact arithmetic for filtered semilinear modules with pairings.",

@@ -20,7 +20,7 @@ from .errors import InvalidInput
 from .linalg import Matrix
 from .modules import FLBlock, FLModule
 from .pairing import LData, PairedFLModule
-from .rings import make_field, make_ring
+from .rings import MAX_DEGREE, _check_bounded, make_field, make_ring
 
 
 def dumps_canonical(obj):
@@ -51,6 +51,7 @@ def _module_ring_from_dict(doc):
     # written over any finite field (make_field), pairings never are
     family, p, f, level = doc["family"], int(doc["p"]), int(doc["f"]), int(doc["level"])
     if family == "witt" and p == 2 and f >= 1 and level == 1:
+        _check_bounded("f", f, MAX_DEGREE)  # before 2**f is formed
         return _check_minimal_poly(make_field(p**f), doc)
     return ring_from_dict(doc)
 

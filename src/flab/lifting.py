@@ -40,7 +40,7 @@ from .pairing import (
     standard_gram,
     validate_pairing,
 )
-from .rings import make_ring, make_small_surjection
+from .rings import RingElem, make_ring, make_small_surjection
 
 
 class LiftProblem:
@@ -125,16 +125,14 @@ class CorrectionSystem:
 
         These are the blocks solve_correction solves; functionals is
         _functionals(tau) when the caller already holds it."""
-        F = self._functionals(tau) if functionals is None else functionals
+        F = (self._functionals(tau) if functionals is None else functionals)._raw
+        add = self.kring._add
         rows = []
         start = a if self.epsilon == 1 else a + 1
         for b in range(start, self.rank):
-            col = F.col(b)
-            if b == a:
-                rows.append([2 * x for x in col])
-            else:
-                rows.append(list(col))
-        return Matrix(self.kring, rows, ncols=self.rank)
+            col = [row[b] for row in F]
+            rows.append([add(x, x) for x in col] if b == a else col)
+        return Matrix._from_data(self.kring, rows, self.rank)
 
     def block_grid(self, tau):
         """T as position blocks: grid[i][j] maps Δ column a_j = r-1-j into the
@@ -142,6 +140,7 @@ class CorrectionSystem:
         k = self.kring
         r = self.rank
         eps = self.epsilon
+        kzero = k.zero.data
         F = self._functionals(tau)
         grid = []
         for i in range(r):
@@ -154,10 +153,11 @@ class CorrectionSystem:
                     row_of_blocks.append(self.diagonal_block(tau, a, F))
                     continue
                 # the equation (a, target) is the only one touching column target
-                rows = [[k.zero] * r for _ in range(start, r)]
+                rows = [[kzero] * r for _ in range(start, r)]
                 if target >= start:
-                    rows[target - start] = [eps * x for x in F.col(a)]
-                row_of_blocks.append(Matrix(k, rows, ncols=r))
+                    col = [row[a] for row in F._raw]
+                    rows[target - start] = col if eps == 1 else [k._sub(kzero, x) for x in col]
+                row_of_blocks.append(Matrix._from_data(k, rows, r))
             grid.append(row_of_blocks)
         return grid
 
@@ -179,7 +179,8 @@ def build_correction_system(prob, initial_lift=None):
     eps = base.L.epsilon
     if initial_lift is None:
         lifts = tuple(
-            blk.phi.map(upper.lift_from, ring=upper) for blk in module.blocks
+            blk.phi._map_data(lambda x: upper._lift_data(ring, x), upper)
+            for blk in module.blocks
         )
     else:
         lifts = tuple(initial_lift)
@@ -188,7 +189,7 @@ def build_correction_system(prob, initial_lift=None):
         for tau, C in enumerate(lifts):
             if C.ring != upper:
                 raise RingMismatch(f"initial lift block {tau} over the wrong ring")
-            reduced = C.map(lambda x: upper.reduce_to(x, ring), ring=ring)
+            reduced = C._map_data(lambda x: upper._reduce_data(x, ring), ring)
             if reduced != module.blocks[tau].phi:
                 raise InvalidInput(
                     f"initial lift block {tau} does not reduce to the normalized Φ"
@@ -209,19 +210,19 @@ def build_correction_system(prob, initial_lift=None):
         if dmat.transpose() != eps * dmat:
             raise InternalRankFailure(f"defect of block {tau} lost ε-symmetry")
         rows = []
-        for a in range(rank):
+        for a, drow in enumerate(dmat._raw):
             row = []
-            for b in range(rank):
+            for b, x in enumerate(drow):
                 try:
-                    row.append(surj.kernel_coefficient(dmat[a, b]))
+                    row.append(surj._kernel_data(x))
                 except InvalidInput as exc:
                     raise InternalRankFailure(
                         f"defect entry ({a + 1}, {b + 1}) of block {tau} "
                         "is not in the kernel"
                     ) from exc
             rows.append(row)
-        defects.append(Matrix(kring, rows, ncols=rank))
-        coeffs.append(module.blocks[tau].phi.map(ring.residue, ring=kring))
+        defects.append(Matrix._from_data(kring, rows, rank))
+        coeffs.append(module.blocks[tau].phi._map_data(ring._residue_data, kring))
     return CorrectionSystem(
         problem=prob,
         normalized=base,
@@ -238,42 +239,48 @@ def build_correction_system(prob, initial_lift=None):
     )
 
 
-def _pair_value(sign, x, y):
-    # x^T S y over the residue field, S the standard form
+def _pair_value(kring, sign, x, y):
+    # x^T S y over the residue field on raw data, S the standard form
+    add, sub, mul = kring._add, kring._sub, kring._mul
     r = len(x)
-    acc = None
+    acc = kring.zero.data
     for u in range(r):
-        t = x[u] * y[r - 1 - u]
-        if sign[u] == -1:
-            t = -t
-        acc = t if acc is None else acc + t
+        t = mul(x[u], y[r - 1 - u])
+        acc = add(acc, t) if sign[u] == 1 else sub(acc, t)
     return acc
 
 
+def _columns(M):
+    return [[row[j] for row in M._raw] for j in range(M.ncols)]
+
+
 def _solve_full_row_rank(kring, rows, rhs, width):
-    """Gauss with first-solvable column pivots; free coordinates stay zero."""
+    """Gauss with first-solvable column pivots on raw data; free coordinates
+    stay zero."""
+    sub, mul = kring._sub, kring._mul
+    zero = kring.zero.data
     work = [list(row) + [val] for row, val in zip(rows, rhs)]
     pivots = []
     used = set()
     for col in range(width):
         sel = None
         for idx in range(len(work)):
-            if idx not in used and work[idx][col]:
+            if idx not in used and work[idx][col] != zero:
                 sel = idx
                 break
         if sel is None:
             continue
-        inv = kring.inv(work[sel][col])
-        work[sel] = [inv * v for v in work[sel]]
+        inv = kring.inv(RingElem(kring, work[sel][col])).data
+        work[sel] = [mul(inv, v) for v in work[sel]]
         for idx in range(len(work)):
-            if idx != sel and work[idx][col]:
-                c = work[idx][col]
-                work[idx] = [v - c * w for v, w in zip(work[idx], work[sel])]
+            c = work[idx][col]
+            if idx != sel and c != zero:
+                work[idx] = [sub(v, mul(c, w)) for v, w in zip(work[idx], work[sel])]
         used.add(sel)
         pivots.append((sel, col))
     if len(used) != len(work):
         raise InternalRankFailure("correction block lost full row rank")
-    x = [kring.zero] * width
+    x = [zero] * width
     for sel, col in pivots:
         x[col] = work[sel][width]
     return x
@@ -287,22 +294,22 @@ def solve_correction(system):
     sign = system.sign
     deltas = []
     for tau in range(system.witt_degree):
-        cbar = system.coeff[tau]
-        dmat = system.defect[tau]
+        ccols = _columns(system.coeff[tau])
+        dmat = system.defect[tau]._raw
         F = system._functionals(tau)
         cols = {}
         for a in range(r - 1, -1, -1):
             block = system.diagonal_block(tau, a, F)
             rhs = [
-                dmat[a, b] if b == a
-                else dmat[a, b] - _pair_value(sign, cbar.col(a), cols[b])
+                dmat[a][b] if b == a
+                else k._sub(dmat[a][b], _pair_value(k, sign, ccols[a], cols[b]))
                 for b in range(r - block.nrows, r)
             ]
             cols[a] = (
-                _solve_full_row_rank(k, block.rows, rhs, r) if rhs else [k.zero] * r
+                _solve_full_row_rank(k, block._raw, rhs, r) if rhs else [k.zero.data] * r
             )
         deltas.append(
-            Matrix(k, [[cols[a][u] for a in range(r)] for u in range(r)], ncols=r)
+            Matrix._from_data(k, [[cols[a][u] for a in range(r)] for u in range(r)], r)
         )
     return tuple(deltas)
 
@@ -314,18 +321,22 @@ def residual(system, deltas):
     sign = system.sign
     out = []
     for tau in range(system.witt_degree):
-        cbar = system.coeff[tau]
-        delta = deltas[tau]
+        if deltas[tau].ring != k:
+            raise RingMismatch(f"correction block {tau} is not over the residue field")
+        ccols = _columns(system.coeff[tau])
+        dcols = _columns(deltas[tau])
+        defect = system.defect[tau]._raw
         rows = []
         for a in range(r):
             row = []
             for b in range(r):
-                e = _pair_value(sign, delta.col(a), cbar.col(b)) + _pair_value(
-                    sign, cbar.col(a), delta.col(b)
+                e = k._add(
+                    _pair_value(k, sign, dcols[a], ccols[b]),
+                    _pair_value(k, sign, ccols[a], dcols[b]),
                 )
-                row.append(e - system.defect[tau][a, b])
+                row.append(k._sub(e, defect[a][b]))
             rows.append(row)
-        out.append(Matrix(k, rows, ncols=r))
+        out.append(Matrix._from_data(k, rows, r))
     return tuple(out)
 
 
@@ -343,22 +354,16 @@ def lift_small(prob):
     module = base.module
     rank = system.rank
     eps = system.epsilon
+    add = upper._add
+    kzero = system.kring.zero.data
     blocks = []
     for tau in range(system.witt_degree):
-        C = system.lifts[tau]
-        delta = deltas[tau]
-        rows = []
-        for u in range(rank):
-            row = []
-            for a in range(rank):
-                entry = C[u, a]
-                d = delta[u, a]
-                if d:
-                    entry = entry + surj.embed_kernel(d)
-                row.append(entry)
-            rows.append(row)
+        rows = [
+            [add(c, surj._embed_data(d)) if d != kzero else c for c, d in zip(crow, drow)]
+            for crow, drow in zip(system.lifts[tau]._raw, deltas[tau]._raw)
+        ]
         blocks.append(
-            FLBlock(module.blocks[tau].weights, Matrix(upper, rows, ncols=rank))
+            FLBlock(module.blocks[tau].weights, Matrix._from_data(upper, rows, rank))
         )
     lifted_module = FLModule(upper, module.bounds, blocks)
     std_upper = standard_gram(upper, rank, eps)
@@ -377,17 +382,20 @@ def lift_small(prob):
 def _transport_level1(paired, new_ring):
     # between the residue field and a level-1 ring of either family
     module = paired.module
+
+    def up(x):
+        return new_ring._lift_data(module.ring, x)
+
     blocks = [
-        FLBlock(blk.weights, blk.phi.map(new_ring.lift_from, ring=new_ring))
-        for blk in module.blocks
+        FLBlock(blk.weights, blk.phi._map_data(up, new_ring)) for blk in module.blocks
     ]
     new_module = FLModule(new_ring, module.bounds, blocks)
     L = LData(
         paired.L.epsilon,
         paired.L.s,
-        tuple(new_ring.lift_from(c) for c in paired.L.c),
+        tuple(RingElem(new_ring, up(c.data)) for c in paired.L.c),
     )
-    grams = tuple(g.map(new_ring.lift_from, ring=new_ring) for g in paired.gram)
+    grams = tuple(g._map_data(up, new_ring) for g in paired.gram)
     return PairedFLModule(new_module, L, grams)
 
 

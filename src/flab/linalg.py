@@ -1,17 +1,21 @@
 """Exact dense linear algebra over the coefficient rings.
 
-Matrices are immutable, stored row-major as tuples of RingElem.  Everything
-runs over an arbitrary ring from flab.rings; algorithms that need more than
-ring arithmetic use the local-ring structure explicitly.
+Matrices are immutable and hold raw ring data: one private row-major tuple
+of rows of the ring's data tuples.  Everything runs over an arbitrary ring
+from flab.rings; algorithms that need more than ring arithmetic use the
+local-ring structure explicitly.
 
-RingElem appears only at the API.  The public constructor coerces and checks
-every entry of outside input once; the hot kernels (matrix product, inverse,
-kernel_gens) unwrap the entries to raw ring data, run on the ring's
-``_add``/``_sub``/``_mul``, and wrap their result once through the trusted
-``Matrix._from_data``, which skips the per-entry checks.
+RingElem appears only at the API edge.  The public constructor coerces and
+checks every entry of outside input once; the accessors (``rows``,
+``m[i, j]``, ``row``, ``col``, ``cols``, ``entries``) wrap entries on the way
+out.  Arithmetic, transpose, kron, comparison and the eliminations run on
+the ring's ``_add``/``_sub``/``_mul`` and build their result through the
+trusted ``Matrix._from_data``, which skips the per-entry checks.
 
 * inverse()       Gauss-Jordan with unit pivots (a square matrix over a local
                   ring is invertible iff that succeeds).
+* is_invertible() the same verdict from forward elimination over the residue
+                  field (Nakayama's lemma), without forming the inverse.
 * kernel_gens()   generating set of the right kernel via valuation-pivot
                   elimination; over a residue field this is a basis.
 """
@@ -23,23 +27,24 @@ from .rings import RingElem
 
 
 def _coerce_entry(ring, value):
+    """Raw data of a matrix entry given as a RingElem of ring or an int."""
     if isinstance(value, RingElem):
         if value.ring != ring:
             raise RingMismatch(f"entry from {value.ring} in a matrix over {ring}")
-        return value
+        return value.data
     if isinstance(value, int):
-        return ring.from_int(value)
+        return ring.from_int(value).data
     raise InvalidInput(f"cannot use {value!r} as a matrix entry")
 
 
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "_raw")
 
     def __init__(self, ring, rows, ncols=None):
-        rows = [tuple(_coerce_entry(ring, x) for x in row) for row in rows]
-        if rows:
-            ncols_seen = len(rows[0])
-            if any(len(row) != ncols_seen for row in rows):
+        raw = [tuple(_coerce_entry(ring, x) for x in row) for row in rows]
+        if raw:
+            ncols_seen = len(raw[0])
+            if any(len(row) != ncols_seen for row in raw):
                 raise InvalidInput("ragged matrix rows")
             if ncols is not None and ncols != ncols_seen:
                 raise InvalidInput("ncols does not match row length")
@@ -47,44 +52,45 @@ class Matrix:
         elif ncols is None:
             raise InvalidInput("empty matrix needs an explicit ncols")
         self.ring = ring
-        self.nrows = len(rows)
+        self.nrows = len(raw)
         self.ncols = ncols
-        self.rows = tuple(rows)
+        self._raw = tuple(raw)
 
     @classmethod
     def _from_data(cls, ring, rows, ncols):
-        """Wrap rows of raw data already valid in ring; no coercion or checks."""
+        """Matrix over a list of rows of raw data already valid in ring; no
+        coercion or checks."""
         self = object.__new__(cls)
         self.ring = ring
         self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = tuple(tuple(RingElem(ring, x) for x in row) for row in rows)
+        self._raw = tuple(map(tuple, rows))
         return self
 
-    def _data_rows(self):
-        return [[x.data for x in row] for row in self.rows]
+    def _map_data(self, fn, ring=None):
+        """Entrywise transform of the raw data; fn returns data of ring."""
+        ring = self.ring if ring is None else ring
+        return Matrix._from_data(ring, [[fn(x) for x in row] for row in self._raw], self.ncols)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, ring, nrows, ncols):
-        z = ring.zero
-        return cls(ring, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        z = ring.zero.data
+        return cls._from_data(ring, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, ring, n):
-        z, o = ring.zero, ring.one
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)], ncols=n)
+        z, o = ring.zero.data, ring.one.data
+        return cls._from_data(ring, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, ring, entries):
         entries = [_coerce_entry(ring, x) for x in entries]
         n = len(entries)
-        z = ring.zero
-        return cls(
-            ring,
-            [[entries[i] if i == j else z for j in range(n)] for i in range(n)],
-            ncols=n,
+        z = ring.zero.data
+        return cls._from_data(
+            ring, [[entries[i] if i == j else z for j in range(n)] for i in range(n)], n
         )
 
     @classmethod
@@ -93,11 +99,11 @@ class Matrix:
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise InvalidInput(f"{perm!r} is not a permutation")
-        z, o = ring.zero, ring.one
+        z, o = ring.zero.data, ring.one.data
         rows = [[z] * n for _ in range(n)]
         for j, i in enumerate(perm):
             rows[i][j] = o
-        return cls(ring, rows, ncols=n)
+        return cls._from_data(ring, rows, n)
 
     @classmethod
     def from_cols(cls, ring, cols, nrows=None):
@@ -111,15 +117,21 @@ class Matrix:
 
     # -- access ----------------------------------------------------------------
 
+    @property
+    def rows(self):
+        return tuple(self.row(i) for i in range(self.nrows))
+
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        return RingElem(self.ring, self._raw[i][j])
 
     def row(self, i):
-        return self.rows[i]
+        ring = self.ring
+        return tuple(RingElem(ring, x) for x in self._raw[i])
 
     def col(self, j):
-        return tuple(row[j] for row in self.rows)
+        ring = self.ring
+        return tuple(RingElem(ring, row[j]) for row in self._raw)
 
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
@@ -140,22 +152,26 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(
+        add = self.ring._add
+        return Matrix._from_data(
             self.ring,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            [[add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self._raw, other._raw)],
+            self.ncols,
         )
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(
+        sub = self.ring._sub
+        return Matrix._from_data(
             self.ring,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            [[sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self._raw, other._raw)],
+            self.ncols,
         )
 
     def __neg__(self):
-        return Matrix(self.ring, [[-a for a in row] for row in self.rows], ncols=self.ncols)
+        sub = self.ring._sub
+        zero = self.ring.zero.data
+        return self._map_data(lambda a: sub(zero, a))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -166,9 +182,9 @@ class Matrix:
             ring = self.ring
             add, mul = ring._add, ring._mul
             zero = ring.zero.data
-            bcols = [[row[j].data for row in other.rows] for j in range(other.ncols)]
+            bcols = [[row[j] for row in other._raw] for j in range(other.ncols)]
             out = []
-            for row in self._data_rows():
+            for row in self._raw:
                 nonzero = [(k, a) for k, a in enumerate(row) if a != zero]
                 out_row = []
                 for col in bcols:
@@ -180,16 +196,15 @@ class Matrix:
                     out_row.append(acc)
                 out.append(out_row)
             return Matrix._from_data(ring, out, other.ncols)
-        scalar = _coerce_entry(self.ring, other)
-        return Matrix(
-            self.ring, [[a * scalar for a in row] for row in self.rows], ncols=self.ncols
-        )
+        return self._scaled(other)
 
     def __rmul__(self, other):
-        scalar = _coerce_entry(self.ring, other)
-        return Matrix(
-            self.ring, [[scalar * a for a in row] for row in self.rows], ncols=self.ncols
-        )
+        return self._scaled(other)
+
+    def _scaled(self, scalar):
+        mul = self.ring._mul
+        s = _coerce_entry(self.ring, scalar)
+        return self._map_data(lambda a: mul(a, s))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -197,11 +212,11 @@ class Matrix:
         return (
             self.ring == other.ring
             and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.rows == other.rows
+            and self._raw == other._raw
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.ncols))
+        return hash((self.ring, self._raw, self.ncols))
 
     def __repr__(self):
         body = "; ".join(
@@ -210,39 +225,44 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.ring!r}: {body})"
 
     def transpose(self):
-        return Matrix(
-            self.ring,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
+        raw = self._raw
+        return Matrix._from_data(
+            self.ring, [[row[j] for row in raw] for j in range(self.ncols)], self.nrows
         )
 
     def map(self, fn, ring=None):
         """Entrywise transform; fn returns elements of ring (default: same)."""
-        ring = ring if ring is not None else self.ring
-        return Matrix(ring, [[fn(a) for a in row] for row in self.rows], ncols=self.ncols)
+        ring = self.ring if ring is None else ring
+        src = self.ring
+        return self._map_data(lambda x: _coerce_entry(ring, fn(RingElem(src, x))), ring)
 
     def matvec(self, vec):
         if len(vec) != self.ncols:
             raise InvalidInput("vector length differs from ncols")
-        zero = self.ring.zero
+        ring = self.ring
+        add, mul = ring._add, ring._mul
+        zero = ring.zero.data
+        v = [_coerce_entry(ring, x) for x in vec]
         out = []
-        for row in self.rows:
+        for row in self._raw:
             acc = zero
-            for a, v in zip(row, vec):
-                if a and v:
-                    acc = acc + a * v
-            out.append(acc)
+            for a, b in zip(row, v):
+                if a != zero and b != zero:
+                    acc = add(acc, mul(a, b))
+            out.append(RingElem(ring, acc))
         return tuple(out)
 
     def kron(self, other):
         """Kronecker product: result[i*or + k, j*oc + l] = self[i,j] * other[k,l]."""
         if self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                out.append([a * b for a in arow for b in brow])
-        return Matrix(self.ring, out, ncols=self.ncols * other.ncols)
+        mul = self.ring._mul
+        out = [
+            [mul(a, b) for a in arow for b in brow]
+            for arow in self._raw
+            for brow in other._raw
+        ]
+        return Matrix._from_data(self.ring, out, self.ncols * other.ncols)
 
     # -- inversion ------------------------------------------------------------
 
@@ -260,7 +280,7 @@ class Matrix:
         zero, one = ring.zero.data, ring.one.data
         work = [
             row + [one if j == i else zero for j in range(n)]
-            for i, row in enumerate(self._data_rows())
+            for i, row in enumerate(map(list, self._raw))
         ]
         for j in range(n):
             pivot_row = None
@@ -285,10 +305,34 @@ class Matrix:
         return Matrix._from_data(ring, [row[n:] for row in work], n)
 
     def is_invertible(self):
-        try:
-            self.inverse()
-        except InvalidInput:
+        """Whether the matrix is square and inverse() would succeed.
+
+        By Nakayama's lemma a square matrix over a local ring is invertible
+        exactly when its reduction mod the maximal ideal is, so this runs
+        division-free forward elimination over the residue field: each step
+        takes a row with a nonzero leading entry p and replaces every other
+        row r by p * r - r[0] * pivot, dropping the leading column.
+        """
+        if self.nrows != self.ncols:
             return False
+        ring = self.ring
+        k = ring.residue_ring()
+        sub, mul = k._sub, k._mul
+        zero = k.zero.data
+        residue = ring._residue_data
+        work = [[residue(x) for x in row] for row in self._raw]
+        while work:
+            pivot = next((row for row in work if row[0] != zero), None)
+            if pivot is None:
+                return False
+            work.remove(pivot)
+            p = pivot[0]
+            work = [
+                [sub(mul(p, a), mul(row[0], b)) for a, b in zip(row[1:], pivot[1:])]
+                if row[0] != zero
+                else row[1:]
+                for row in work
+            ]
         return True
 
     # -- kernels ----------------------------------------------------------------
@@ -304,7 +348,7 @@ class Matrix:
         sub, mul = ring._sub, ring._mul
         zero, one = ring.zero.data, ring.one.data
         n_ideal = ring.level
-        B = self._data_rows()
+        B = [list(row) for row in self._raw]
         W = [[one if j == i else zero for j in range(self.ncols)] for i in range(self.ncols)]
         free_rows = set(range(self.nrows))
         free_cols = set(range(self.ncols))

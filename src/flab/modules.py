@@ -172,7 +172,8 @@ def validate(module):
                     f"block {tau} weight {w} outside [{a}, {b}]"
                 )
     for tau, blk in enumerate(module.blocks):
-        blk.phi.inverse(error=SingularPhi(f"block {tau}"))
+        if not blk.phi.is_invertible():
+            raise SingularPhi(f"block {tau}")
 
 
 def check_multiplicity_free(module):
@@ -248,15 +249,19 @@ def tensor(m1, m2):
         )
         orders.append(order)
         sums.append(weight_sums)
+    mul = ring._mul
     blocks = []
     for tau in range(fprime):
         stau = (tau + 1) % fprime
-        phi1 = m1.blocks[tau].phi
-        phi2 = m2.blocks[tau].phi
-        rows = []
-        for u, v in orders[stau]:
-            rows.append([phi1[u, i] * phi2[v, j] for i, j in orders[tau]])
-        blocks.append(FLBlock(tuple(sums[tau]), Matrix(ring, rows, ncols=len(orders[tau]))))
+        phi1 = m1.blocks[tau].phi._raw
+        phi2 = m2.blocks[tau].phi._raw
+        rows = [
+            [mul(phi1[u][i], phi2[v][j]) for i, j in orders[tau]]
+            for u, v in orders[stau]
+        ]
+        blocks.append(
+            FLBlock(tuple(sums[tau]), Matrix._from_data(ring, rows, len(orders[tau])))
+        )
     return FLModule(ring, (a, b), blocks)
 
 
@@ -295,8 +300,10 @@ def base_change(module, target):
         upper = target
     else:
         raise InvalidInput("base_change expects a SmallSurj or a ring")
+    low = module.ring
+    upper._check_lift(low)
     blocks = [
-        FLBlock(blk.weights, blk.phi.map(upper.lift_from, ring=upper))
+        FLBlock(blk.weights, blk.phi._map_data(lambda x: upper._lift_data(low, x), upper))
         for blk in module.blocks
     ]
     return FLModule(upper, module.bounds, blocks)
@@ -306,9 +313,9 @@ def reduce(module, surj):
     """Push a module down a small surjection by entrywise reduction."""
     if module.ring != surj.source:
         raise RingMismatch("module is not over the source of the surjection")
-    target = surj.target
+    source, target = surj.source, surj.target
     blocks = [
-        FLBlock(blk.weights, blk.phi.map(lambda x: surj.source.reduce_to(x, target), ring=target))
+        FLBlock(blk.weights, blk.phi._map_data(lambda x: source._reduce_data(x, target), target))
         for blk in module.blocks
     ]
     return FLModule(target, module.bounds, blocks)
@@ -322,10 +329,10 @@ def first_unadapted(A, row_weights, col_weights):
     """First (u, a) in row-major order with A[u, a] != 0 although
     row_weights[u] < col_weights[a]; None when A respects the weights."""
     zero = A.ring.zero.data
-    for u, row in enumerate(A.rows):
+    for u, row in enumerate(A._raw):
         wu = row_weights[u]
         for a, x in enumerate(row):
-            if wu < col_weights[a] and x.data != zero:
+            if wu < col_weights[a] and x != zero:
                 return u, a
     return None
 
@@ -341,17 +348,17 @@ def divided(A, row_weights, col_weights):
     zero = ring.zero.data
     scales = {}
     rows = []
-    for u, row in enumerate(A.rows):
+    for u, row in enumerate(A._raw):
         wu = row_weights[u]
         out = []
         for a, x in enumerate(row):
             gap = wu - col_weights[a]
-            if gap < 0 or x.data == zero:
+            if gap < 0 or x == zero:
                 out.append(zero)
                 continue
             if gap not in scales:
                 scales[gap] = ring.pi_pow(gap).data
-            out.append(mul(scales[gap], x.data))
+            out.append(mul(scales[gap], x))
         rows.append(out)
     return Matrix._from_data(ring, rows, A.ncols)
 
@@ -400,12 +407,13 @@ def hom_mf(domain, codomain):
                 if wN[u] >= wM[a]:
                     index[(tau, u, a)] = len(unknowns)
                     unknowns.append((tau, u, a))
+    add, sub, mul = ring._add, ring._sub, ring._mul
+    zero = ring.zero.data
     rows = []
-    zero = ring.zero
     for tau in range(fprime):
         stau = (tau + 1) % fprime
-        phiM = domain.blocks[tau].phi
-        phiN = codomain.blocks[tau].phi
+        phiM = domain.blocks[tau].phi._raw
+        phiN = codomain.blocks[tau].phi._raw
         wM = domain.blocks[tau].weights
         wN = codomain.blocks[tau].weights
         for v in range(rN):
@@ -413,26 +421,22 @@ def hom_mf(domain, codomain):
                 coeffs = [zero] * len(unknowns)
                 for u in range(rM):
                     pos = index.get((stau, v, u))
-                    if pos is not None and phiM[u, a]:
-                        coeffs[pos] = coeffs[pos] + phiM[u, a]
+                    if pos is not None and phiM[u][a] != zero:
+                        coeffs[pos] = add(coeffs[pos], phiM[u][a])
                 for u in range(rN):
                     pos = index.get((tau, u, a))
                     if pos is not None:
-                        c = phiN[v, u] * ring.pi_pow(wN[u] - wM[a])
-                        if c:
-                            coeffs[pos] = coeffs[pos] - c
+                        c = mul(phiN[v][u], ring.pi_pow(wN[u] - wM[a]).data)
+                        if c != zero:
+                            coeffs[pos] = sub(coeffs[pos], c)
                 rows.append(coeffs)
-    system = Matrix(ring, rows, ncols=len(unknowns))
+    system = Matrix._from_data(ring, rows, len(unknowns))
     basis = []
     for gen in system.kernel_gens():
-        per_block = [
-            [[zero for _ in range(rM)] for _ in range(rN)] for _ in range(fprime)
-        ]
+        per_block = [[[zero] * rM for _ in range(rN)] for _ in range(fprime)]
         for pos, (tau, u, a) in enumerate(unknowns):
-            per_block[tau][u][a] = gen[pos]
-        basis.append(
-            tuple(Matrix(ring, m, ncols=rM) for m in per_block)
-        )
+            per_block[tau][u][a] = gen[pos].data
+        basis.append(tuple(Matrix._from_data(ring, m, rM) for m in per_block))
     return MorphismSpace(domain, codomain, basis)
 
 

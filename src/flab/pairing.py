@@ -161,13 +161,15 @@ def standard_gram(ring, rank, epsilon):
         raise InvalidInput("epsilon must be +1 or -1")
     if epsilon == -1 and rank % 2:
         raise OddRankSymplectic(f"rank {rank} is odd")
-    rows = [[ring.zero] * rank for _ in range(rank)]
+    one = ring.one.data
+    minus_one = (-ring.one).data
+    rows = [[ring.zero.data] * rank for _ in range(rank)]
     for a in range(rank):
-        value = ring.one
+        value = one
         if epsilon == -1 and a >= rank // 2:
-            value = -ring.one
+            value = minus_one
         rows[a][rank - 1 - a] = value
-    return Matrix(ring, rows, ncols=rank)
+    return Matrix._from_data(ring, rows, rank)
 
 
 def sign_function(rank, epsilon):
@@ -204,6 +206,8 @@ def validate_pairing(paired):
     rank = module.rank
     if eps == -1 and rank % 2:
         raise OddRankSymplectic(f"rank {rank} is odd")
+    ring = module.ring
+    zero = ring.zero.data
     for tau, blk in enumerate(module.blocks):
         G = paired.gram[tau]
         w = blk.weights
@@ -215,15 +219,18 @@ def validate_pairing(paired):
                 f"block {tau} entry ({i + 1}, {j + 1}): "
                 f"weights {w[i]}+{w[j]} exceed s = {s}"
             )
+        g = G._raw
         for i in range(rank):
             for j in range(i, rank):
-                if G[j, i] != eps * G[i, j]:
+                mirrored = g[i][j] if eps == 1 else ring._sub(zero, g[i][j])
+                if g[j][i] != mirrored:
                     raise SymmetryViolation(
                         f"block {tau} entry ({j + 1}, {i + 1})"
                     )
         if sorted(s - x for x in w) != list(w):
             raise NotPerfect(f"block {tau} weights are not self-dual for s = {s}")
-        G.inverse(error=NotPerfect(f"block {tau}"))
+        if not G.is_invertible():
+            raise NotPerfect(f"block {tau}")
     for tau, blk in enumerate(module.blocks):
         stau = (tau + 1) % module.witt_degree
         lhs = blk.phi.transpose() * paired.gram[stau] * blk.phi
@@ -274,11 +281,15 @@ def reduce_paired(paired, surj):
         raise RingMismatch("paired module must live over the source ring")
 
     def down(x):
-        return source.reduce_to(x, target)
+        return source._reduce_data(x, target)
 
     module = _reduce_module(paired.module, surj)
-    L = LData(paired.L.epsilon, paired.L.s, tuple(down(c) for c in paired.L.c))
-    grams = tuple(g.map(down, ring=target) for g in paired.gram)
+    L = LData(
+        paired.L.epsilon,
+        paired.L.s,
+        tuple(RingElem(target, down(c.data)) for c in paired.L.c),
+    )
+    grams = tuple(g._map_data(down, target) for g in paired.gram)
     return PairedFLModule(module, L, grams)
 
 
@@ -286,25 +297,23 @@ def reduce_paired(paired, surj):
 # normalization
 
 
-def _col_update(G, V, target, source, coeff):
-    # v_target <- v_target - coeff * v_source
-    n = len(G)
-    for x in range(n):
-        G[x][target] = G[x][target] - coeff * G[x][source]
-    for x in range(n):
-        G[target][x] = G[target][x] - coeff * G[source][x]
-    for x in range(n):
-        V[x][target] = V[x][target] - coeff * V[x][source]
+def _col_update(ring, G, V, target, source, coeff):
+    # v_target <- v_target - coeff * v_source, on raw data
+    sub, mul = ring._sub, ring._mul
+    for row in G:
+        row[target] = sub(row[target], mul(coeff, row[source]))
+    G[target] = [sub(a, mul(coeff, b)) for a, b in zip(G[target], G[source])]
+    for row in V:
+        row[target] = sub(row[target], mul(coeff, row[source]))
 
 
-def _col_scale(G, V, target, unit):
-    n = len(G)
-    for x in range(n):
-        G[x][target] = G[x][target] * unit
-    for x in range(n):
-        G[target][x] = G[target][x] * unit
-    for x in range(n):
-        V[x][target] = V[x][target] * unit
+def _col_scale(ring, G, V, target, unit):
+    mul = ring._mul
+    for row in G:
+        row[target] = mul(row[target], unit)
+    G[target] = [mul(a, unit) for a in G[target]]
+    for row in V:
+        row[target] = mul(row[target], unit)
 
 
 def normalize_standard(paired, unit_reduce=False):
@@ -341,41 +350,47 @@ def _normalize(paired, unit_reduce=False):
     rank = module.rank
     check_multiplicity_free(module)
     identity = Matrix.identity(ring, rank)
+    add, mul = ring._add, ring._mul
+    zero, one = ring.zero.data, ring.one.data
+
+    def inv(x):
+        return ring.inv(RingElem(ring, x)).data
+
     vs = []
     omegas = []
     for tau, blk in enumerate(module.blocks):
-        G = [list(row) for row in paired.gram[tau].rows]
-        V = [list(row) for row in identity.rows]
+        G = [list(row) for row in paired.gram[tau]._raw]
+        V = [list(row) for row in identity._raw]
         for j in range((rank + 1) // 2):
             js = rank - 1 - j
             pivot = G[j][js]
-            if eps == 1 and j != js and G[j][j]:
-                mu = G[j][j] * ring.inv(2 * pivot)
-                _col_update(G, V, j, js, mu)
+            if eps == 1 and j != js and G[j][j] != zero:
+                mu = mul(G[j][j], inv(add(pivot, pivot)))
+                _col_update(ring, G, V, j, js, mu)
             for h in range(j + 1, js):
-                if G[j][h]:
-                    _col_update(G, V, h, js, G[j][h] * ring.inv(pivot))
+                if G[j][h] != zero:
+                    _col_update(ring, G, V, h, js, mul(G[j][h], inv(pivot)))
         if rank % 2 == 0:
-            omega = ring.one
+            omega = one
             for a in range(rank // 2):
                 g = G[a][rank - 1 - a]
-                if g != ring.one:
-                    _col_scale(G, V, a, ring.inv(g))
+                if g != one:
+                    _col_scale(ring, G, V, a, inv(g))
         else:
             mid = rank // 2
             omega = G[mid][mid]
             if unit_reduce:
-                canonical = ring.lift_from(ring.residue(omega))
+                canonical = ring._lift_data(ring.residue_ring(), ring._residue_data(omega))
                 if canonical != omega:
-                    lam = ring.unit_sqrt(canonical * ring.inv(omega))
-                    _col_scale(G, V, mid, lam)
+                    ratio = RingElem(ring, mul(canonical, inv(omega)))
+                    _col_scale(ring, G, V, mid, ring.unit_sqrt(ratio).data)
                     omega = G[mid][mid]
             for a in range(mid):
                 g = G[a][rank - 1 - a]
                 if g != omega:
-                    _col_scale(G, V, a, omega * ring.inv(g))
-        vs.append(Matrix(ring, V, ncols=rank))
-        omegas.append(omega)
+                    _col_scale(ring, G, V, a, mul(omega, inv(g)))
+        vs.append(Matrix._from_data(ring, V, rank))
+        omegas.append(RingElem(ring, omega))
     if all(V == identity for V in vs):
         normalized = paired
     else:

@@ -14,12 +14,16 @@ overloading) and provide Frobenius, Teichmueller lifts (witt only), unit
 inversion, unit square roots, and one-step small surjections down the level
 chain.  All values are immutable.
 
-Every ring works on raw data tuples (``_add``, ``_sub``, ``_mul``); RingElem
-wraps them for the public API, and flab.linalg runs its eliminations on the
-raw tuples directly.  Arithmetic per family:
+Every ring works on raw data tuples (``_add``, ``_sub``, ``_mul``, and
+``_residue_data``, ``_lift_data``, ``_reduce_data`` between the levels of a
+tower); RingElem wraps them for the public API, and flab.linalg stores and
+computes on the raw tuples directly.  Degrees f above MAX_DEGREE and levels
+above MAX_LEVEL are refused before a ring is built.  Arithmetic per family:
 
-* Z/p^level (f = 1): int arithmetic mod p^level; units invert by
-  ``pow(a, -1, p^level)``.
+* Z/p^level (f = 1): ``_add``, ``_sub`` and ``_mul`` do one int operation
+  mod p^level on the single coefficient, with no per-coefficient loop; the
+  data stays a 1-tuple, the layout io and the callers of ``x.data`` read.
+  Units invert by ``pow(a, -1, p^level)``.
 * F_q with f > 1 and q <= LOG_TABLE_MAX_Q: multiplication and inversion
   through discrete-log / antilog tables over a generator of F_q^*, so a
   product is two dict lookups and a list index.  The tables are built on the
@@ -50,6 +54,10 @@ LOG_TABLE_MAX_Q = 2**12
 # Prime powers are split by trial division up to this bound, so any p up to
 # its square is accepted and larger inputs fail fast instead of spinning.
 PRIME_TRIAL_BOUND = 2**20
+# Degrees f and levels above these are refused before any work: the search
+# for the minimal polynomial grows with f, and the element data with both.
+MAX_DEGREE = 32
+MAX_LEVEL = 256
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (plain int lists, lowest degree first)
@@ -149,15 +157,20 @@ def _is_irreducible(g, p):
 def _encoding_order(m, f):
     """All length-f tuples over range(m), ascending in sum c_i m^i, lazily.
 
-    Unlike itertools.product this never holds range(m) in memory, so a
-    search that stops early stays cheap for a huge m.
+    An odometer with c_0 turning fastest: unlike itertools.product it never
+    holds range(m) in memory, so a search that stops early stays cheap for
+    a huge m, and it needs no recursion depth for a large f.
     """
-    if f == 0:
-        yield ()
-        return
-    for high in _encoding_order(m, f - 1):
-        for c in range(m):
-            yield (c,) + high
+    digits = [0] * f
+    while True:
+        yield tuple(digits)
+        for i in range(f):
+            digits[i] += 1
+            if digits[i] < m:
+                break
+            digits[i] = 0
+        else:
+            return
 
 
 def minimal_polynomial(p, f):
@@ -345,6 +358,23 @@ class Ring:
     def is_field(self):
         return self.level == 1 and self.family == "witt"
 
+    # -- the tower: residue field and levels ---------------------------------
+
+    def residue(self, x):
+        """Image of x in the residue field."""
+        return RingElem(self.residue_ring(), self._residue_data(_coerce(self, x).data))
+
+    def reduce_to(self, x, target):
+        """Image of x at a lower level target of the same tower."""
+        x = _coerce(self, x)
+        if (
+            type(target) is not type(self)
+            or (target.p, target.f) != (self.p, self.f)
+            or target.level > self.level
+        ):
+            raise RingMismatch("reduce_to expects a lower level of the same tower")
+        return RingElem(target, self._reduce_data(x.data, target))
+
     # -- units ---------------------------------------------------------------
 
     def is_unit(self, x):
@@ -468,11 +498,15 @@ class WittRing(Ring):
 
     def _add(self, a, b):
         m = self._modulus
-        return tuple((x + y) % m for x, y in zip(a, b))
+        if self.f == 1:
+            return ((a[0] + b[0]) % m,)
+        return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         m = self._modulus
-        return tuple((x - y) % m for x, y in zip(a, b))
+        if self.f == 1:
+            return ((a[0] - b[0]) % m,)
+        return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def _mul(self, a, b):
         tables = self._tables
@@ -598,33 +632,32 @@ class WittRing(Ring):
             return self
         return _cached_ring("witt", self.p, self.f, 1)
 
-    def residue(self, x):
-        x = _coerce(self, x)
+    def _residue_data(self, data):
         if self.level == 1:
-            return x
-        k = self.residue_ring()
+            return data
         p = self.p
-        return RingElem(k, tuple(c % p for c in x.data))
+        return tuple(c % p for c in data)
 
     def lift_from(self, x):
         """Canonical lift of an element of a lower-level witt ring."""
-        if not isinstance(x, RingElem) or x.ring.family != "witt":
+        if not isinstance(x, RingElem):
             raise RingMismatch("lift_from expects a witt element")
-        low = x.ring
+        self._check_lift(x.ring)
+        return RingElem(self, self._lift_data(x.ring, x.data))
+
+    def _check_lift(self, low):
+        if low.family != "witt":
+            raise RingMismatch("lift_from expects a witt element")
         if (low.p, low.f) != (self.p, self.f) or low.level > self.level:
             raise RingMismatch("lift_from expects a lower level of the same tower")
-        return RingElem(self, x.data)
 
-    def reduce_to(self, x, target):
-        x = _coerce(self, x)
-        if (
-            not isinstance(target, WittRing)
-            or (target.p, target.f) != (self.p, self.f)
-            or target.level > self.level
-        ):
-            raise RingMismatch("reduce_to expects a lower level of the same tower")
+    def _lift_data(self, low, data):
+        # the coefficients of a lower level are already canonical here
+        return data
+
+    def _reduce_data(self, data, target):
         m = target._modulus
-        return RingElem(target, tuple(c % m for c in x.data))
+        return tuple(c % m for c in data)
 
     # -- Frobenius -----------------------------------------------------------
 
@@ -713,11 +746,11 @@ class DualNumbersRing(Ring):
 
     def _add(self, a, b):
         k = self._kring
-        return tuple(k._add(x, y) for x, y in zip(a, b))
+        return tuple([k._add(x, y) for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         k = self._kring
-        return tuple(k._sub(x, y) for x, y in zip(a, b))
+        return tuple([k._sub(x, y) for x, y in zip(a, b)])
 
     def _mul(self, a, b):
         k = self._kring
@@ -786,38 +819,35 @@ class DualNumbersRing(Ring):
     def residue_ring(self):
         return self._kring
 
-    def residue(self, x):
-        x = _coerce(self, x)
-        return RingElem(self._kring, x.data[0])
+    def _residue_data(self, data):
+        return data[0]
 
     def lift_from(self, x):
         if not isinstance(x, RingElem):
             raise RingMismatch("lift_from expects a ring element")
-        low = x.ring
-        if low == self._kring:
-            k = self._kring
-            return RingElem(
-                self, (x.data,) + (k.zero.data,) * (self.level - 1)
-            )
-        if (
-            low.family == "dual_numbers"
-            and (low.p, low.f) == (self.p, self.f)
-            and low.level <= self.level
-        ):
-            k = self._kring
-            pad = (k.zero.data,) * (self.level - low.level)
-            return RingElem(self, x.data + pad)
-        raise RingMismatch("lift_from expects a lower level of the same tower")
+        self._check_lift(x.ring)
+        return RingElem(self, self._lift_data(x.ring, x.data))
 
-    def reduce_to(self, x, target):
-        x = _coerce(self, x)
-        if (
-            not isinstance(target, DualNumbersRing)
-            or (target.p, target.f) != (self.p, self.f)
-            or target.level > self.level
+    def _check_lift(self, low):
+        if not (
+            low == self._kring
+            or (
+                low.family == "dual_numbers"
+                and (low.p, low.f) == (self.p, self.f)
+                and low.level <= self.level
+            )
         ):
-            raise RingMismatch("reduce_to expects a lower level of the same tower")
-        return RingElem(target, x.data[: target.level])
+            raise RingMismatch("lift_from expects a lower level of the same tower")
+
+    def _lift_data(self, low, data):
+        # low is the residue field or a lower level of this tower
+        kzero = self._kring.zero.data
+        if low.family == "witt":
+            return (data,) + (kzero,) * (self.level - 1)
+        return data + (kzero,) * (self.level - low.level)
+
+    def _reduce_data(self, data, target):
+        return data[: target.level]
 
     def frobenius(self, x):
         x = _coerce(self, x)
@@ -854,11 +884,16 @@ def make_ring(family, p, f, level):
         raise InvalidInput(
             "p odd required for unit square roots and pairing normalization"
         )
-    if not isinstance(f, int) or f < 1:
-        raise InvalidInput("f must be a positive integer")
-    if not isinstance(level, int) or level < 1:
-        raise InvalidInput("level must be a positive integer")
+    _check_bounded("f", f, MAX_DEGREE)
+    _check_bounded("level", level, MAX_LEVEL)
     return _cached_ring(family, p, f, level)
+
+
+def _check_bounded(name, value, bound):
+    if not isinstance(value, int) or value < 1:
+        raise InvalidInput(f"{name} must be a positive integer")
+    if value > bound:
+        raise InvalidInput(f"{name} = {value} exceeds the bound {bound}")
 
 
 def make_field(q):
@@ -869,9 +904,16 @@ def make_field(q):
     """
     if not isinstance(q, int) or q < 2:
         raise InvalidInput(f"q = {q!r} is not a prime power")
+    # an accepted q is p^f with f <= MAX_DEGREE and p found by trial division
+    # (p <= PRIME_TRIAL_BOUND), or a prime; both fit in this many bits
+    if q.bit_length() > MAX_DEGREE * PRIME_TRIAL_BOUND.bit_length():
+        raise InvalidInput(
+            f"q of {q.bit_length()} bits exceeds every p^f with f <= {MAX_DEGREE}"
+        )
     split = _split_prime_power(q)
     if split is None:
         raise InvalidInput(f"q = {q} is not a prime power")
+    _check_bounded("f", split[1], MAX_DEGREE)
     return _cached_ring("witt", split[0], split[1], 1)
 
 
@@ -904,27 +946,33 @@ class SmallSurj:
 
     def embed_kernel(self, kappa):
         """Residue-field scalar kappa -> kappa * kernel_gen in the source."""
-        k = self.source.residue_ring()
-        kappa = _coerce(k, kappa)
-        return self.source.lift_from(kappa) * self.kernel_gen
+        kappa = _coerce(self.source.residue_ring(), kappa)
+        return RingElem(self.source, self._embed_data(kappa.data))
+
+    def _embed_data(self, kappa):
+        src = self.source
+        lifted = src._lift_data(src.residue_ring(), kappa)
+        return src._mul(lifted, self.kernel_gen.data)
 
     def kernel_coefficient(self, x):
         """Inverse of embed_kernel on the kernel ideal."""
         x = _coerce(self.source, x)
+        return RingElem(self.source.residue_ring(), self._kernel_data(x.data))
+
+    def _kernel_data(self, data):
         src = self.source
-        k = src.residue_ring()
         shift = src.level - 1
         if src.family == "witt":
             step = src.p**shift
             coeffs = []
-            for c in x.data:
+            for c in data:
                 if c % step:
                     raise InvalidInput("element is not in the kernel")
                 coeffs.append((c // step) % src.p)
-            return RingElem(k, tuple(coeffs))
-        if any(any(c) for c in x.data[:shift]):
+            return tuple(coeffs)
+        if any(any(c) for c in data[:shift]):
             raise InvalidInput("element is not in the kernel")
-        return RingElem(k, x.data[shift])
+        return data[shift]
 
     def __repr__(self):
         return f"SmallSurj({self.source!r} -> {self.target!r})"

@@ -78,28 +78,30 @@ def delta_space(paired):
     kring = paired.module.ring
     fprime = paired.module.witt_degree
     basis = []
+    add = kring._add
+    zero = kring.zero.data
     for tau in range(fprime):
-        G = paired.gram[tau]
-        r = G.nrows
+        G = paired.gram[tau]._raw
+        r = len(G)
         rows = []
         for i in range(r):
             for j in range(r):
-                row = [kring.zero] * (r * r)
+                row = [zero] * (r * r)
                 for u in range(r):
-                    row[u * r + i] = row[u * r + i] + G[u, j]
-                    row[u * r + j] = row[u * r + j] + G[i, u]
+                    row[u * r + i] = add(row[u * r + i], G[u][j])
+                    row[u * r + j] = add(row[u * r + j], G[i][u])
                 rows.append(row)
-        system = Matrix(kring, rows, ncols=r * r)
+        system = Matrix._from_data(kring, rows, r * r)
         for vec in system.kernel_gens():
             mats = []
             for t2 in range(fprime):
                 rk = paired.module.blocks[t2].rank
                 if t2 == tau:
                     mats.append(
-                        Matrix(
+                        Matrix._from_data(
                             kring,
-                            [[vec[u * r + a] for a in range(r)] for u in range(r)],
-                            ncols=r,
+                            [[vec[u * r + a].data for a in range(r)] for u in range(r)],
+                            r,
                         )
                     )
                 else:
@@ -154,8 +156,8 @@ def end_mf_pairing(paired, fil0_basis=None):
             - phi * Matrix.diagonal(kring, [elem[tau][a, a] for a in range(r)])
             for elem in fil0_basis
         ]
-        rows.extend([res[i, a] for res in residues] for i in range(r) for a in range(r))
-    system = Matrix(kring, rows, ncols=len(fil0_basis))
+        rows.extend([res._raw[i][a] for res in residues] for i in range(r) for a in range(r))
+    system = Matrix._from_data(kring, rows, len(fil0_basis))
     return [_combine(paired, fil0_basis, combo) for combo in system.kernel_gens()]
 
 

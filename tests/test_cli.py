@@ -230,3 +230,55 @@ def test_round_trip_byte_identity_through_files(pcanon2_path, tmp_path, capsys):
     text = open(pcanon2_path, encoding="utf-8").read()
     obj = document_to_object(json.loads(text))
     assert dumps_canonical(object_to_document(obj)) == text
+
+
+def test_parser_built_once_matches_fresh_parsers(pcanon2_path, tmp_path, capsys):
+    from flab.cli import _build_parser
+
+    singular = module_to_dict(canon2())
+    singular["blocks"][0]["phi"] = [[[1], [0]], [[1], [0]]]
+    sequence = [
+        ["validate", pcanon2_path],
+        ["tensor-simples", "--h", "2", "--i", "zero", "--h2", "1", "--i2", "0"],
+        ["lift", pcanon2_path, "--tower-depth", "2", "--family", "dual"],
+        ["validate", write_doc(tmp_path, "singular.json", singular)],
+        ["--no-such-flag"],
+        ["feasibility", "--group", "gsp", "--m", "4", "--p", "19"],
+        ["normalize", pcanon2_path],
+        ["lift", "--help"],
+        ["tangent", pcanon2_path],
+    ]
+
+    def run(fresh):
+        outcomes = []
+        for argv in sequence:
+            if fresh:
+                _build_parser.cache_clear()
+            outcomes.append((main(list(argv)), *capsys.readouterr()))
+        return outcomes
+
+    _build_parser.cache_clear()
+    cached = run(fresh=False)
+    assert _build_parser.cache_info().misses == 1
+    assert run(fresh=True) == cached
+    assert [code for code, _, _ in cached] == [0, 2, 0, 1, 2, 0, 0, 0, 0]
+    assert cached[3][2] == "SingularPhi block 0\n"
+
+
+def test_huge_degree_or_level_in_a_document_exits_1(tmp_path, capsys):
+    for key, value, verdict in (
+        ("f", 10**6, "InvalidInput f = 1000000 exceeds the bound 32\n"),
+        ("level", 10**7, "InvalidInput level = 10000000 exceeds the bound 256\n"),
+    ):
+        doc = module_to_dict(canon2())
+        doc["ring"][key] = value
+        assert main(["validate", write_doc(tmp_path, f"{key}.json", doc)]) == 1
+        assert capsys.readouterr().err == verdict
+    # F_{2^f} documents take the make_field path, which must not form 2^f first
+    doc = module_to_dict(canon2())
+    doc["ring"].update(p=2, f=10**12)
+    assert main(["validate", write_doc(tmp_path, "f2.json", doc)]) == 1
+    assert capsys.readouterr().err == f"InvalidInput f = {10**12} exceeds the bound 32\n"
+    assert main(["tensor-simples", "--h", "1", "--i", "0", "--h2", "1", "--i2", "0",
+                 "--q", str(3**33), "--embeddings"]) == 1
+    assert capsys.readouterr().err == "InvalidInput f = 33 exceeds the bound 32\n"

@@ -148,6 +148,8 @@ def test_solver_clears_all_residuals():
             zero = Matrix.zero(system.kring, rank, rank)
             for res in residual(system, deltas):
                 assert res == zero
+            with pytest.raises(RingMismatch, match="^correction block 0 is not over"):
+                residual(system, tuple(d.map(upper.lift_from, ring=upper) for d in deltas))
 
 
 def test_defect_perturbation_is_linear_and_local():

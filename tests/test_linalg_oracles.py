@@ -1,0 +1,218 @@
+"""Independent oracles for the raw-data Matrix layer.
+
+* Differential: every Matrix operation, which runs on raw ring data, equals
+  the same computation done entry by entry with RingElem arithmetic.
+* Invertibility: the residue-field verdict of is_invertible (and of the
+  SingularPhi / NotPerfect checks built on it) equals "inverse() succeeds"
+  on every 2x2 matrix over small chain rings.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flab.cli import main
+from flab.errors import InvalidInput, NotPerfect, SingularPhi
+from flab.io import dumps_canonical, paired_to_dict
+from flab.linalg import Matrix
+from flab.modules import FLBlock, FLModule, validate
+from flab.pairing import LData, PairedFLModule, validate_pairing
+from flab.rings import make_field, make_ring
+
+F5 = make_field(5)
+F9 = make_field(9)
+Z9 = make_ring("witt", 3, 1, 2)
+Z25 = make_ring("witt", 5, 1, 2)
+Z27 = make_ring("witt", 3, 1, 3)
+W9_2 = make_ring("witt", 3, 2, 2)
+D3_2 = make_ring("dual_numbers", 3, 1, 2)
+D9_2 = make_ring("dual_numbers", 3, 2, 2)
+
+DIFF_RINGS = (F5, F9, Z27, W9_2, D3_2)
+ELEMENTS = {ring: list(ring.elements()) for ring in DIFF_RINGS + (Z9, Z25)}
+
+
+# -- entrywise RingElem references -------------------------------------------
+
+
+def ring_sum(ring, terms):
+    acc = ring.zero
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def ref_product(ring, a_rows, b_rows):
+    b_cols = list(zip(*b_rows))
+    return tuple(
+        tuple(ring_sum(ring, (x * y for x, y in zip(row, col))) for col in b_cols)
+        for row in a_rows
+    )
+
+
+def ref_det(ring, rows):
+    # Leibniz formula; a square matrix over a local ring is invertible
+    # exactly when its determinant is a unit
+    n = len(rows)
+    total = ring.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ring.one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def span(ring, gens, length):
+    """Every R-combination of the generators, as tuples of RingElem."""
+    out = {(ring.zero,) * length}
+    for g in gens:
+        out = {tuple(s + c * x for s, x in zip(v, g)) for v in out for c in ELEMENTS[ring]}
+    return out
+
+
+def draw_matrix(data, ring, n, m):
+    pick = st.sampled_from(ELEMENTS[ring])
+    return Matrix(ring, [[data.draw(pick) for _ in range(m)] for _ in range(n)], ncols=m)
+
+
+# -- differential: raw path against RingElem ------------------------------------
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_raw_matrix_ops_match_entrywise_ringelem(ring, data):
+    n, m, l = (data.draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+    a = draw_matrix(data, ring, n, m)
+    a2 = draw_matrix(data, ring, n, m)
+    b = draw_matrix(data, ring, m, l)
+    c = data.draw(st.sampled_from(ELEMENTS[ring]))
+    A, A2, B = a.rows, a2.rows, b.rows
+    assert all(isinstance(x, type(c)) for row in A for x in row)
+    assert (a * b).rows == ref_product(ring, A, B)
+    assert (a + a2).rows == tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(A, A2))
+    assert (a - a2).rows == tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(A, A2))
+    assert (-a).rows == tuple(tuple(-x for x in r) for r in A)
+    scaled = tuple(tuple(x * c for x in r) for r in A)
+    assert (a * c).rows == scaled and (c * a).rows == scaled
+    assert (a * 2).rows == tuple(tuple(x + x for x in r) for r in A)
+    assert a.transpose().rows == tuple(zip(*A))
+    assert a.map(lambda x: x * x + c).rows == tuple(tuple(x * x + c for x in r) for r in A)
+    assert a.kron(b).rows == tuple(
+        tuple(x * y for x in ra for y in rb) for ra in A for rb in B
+    )
+    # the accessors wrap the same entries
+    assert [a[i, j] for i in range(n) for j in range(m)] == list(a.entries())
+    assert tuple(a.row(i) for i in range(n)) == A
+    assert tuple(a.cols()) == tuple(zip(*A))
+    v = b.col(0)
+    assert a.matvec(v) == tuple(x for (x,) in ref_product(ring, A, tuple((y,) for y in v)))
+    assert a == Matrix(ring, A) and hash(a) == hash(Matrix(ring, A))
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_inverse_and_kernel_match_entrywise_ringelem(ring, data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    s = draw_matrix(data, ring, n, n)
+    S = s.rows
+    unit_det = ring.is_unit(ref_det(ring, S))
+    assert s.is_invertible() == unit_det
+    if unit_det:
+        inv = s.inverse().rows
+        ident = Matrix.identity(ring, n).rows
+        assert ref_product(ring, S, inv) == ident == ref_product(ring, inv, S)
+    else:
+        with pytest.raises(InvalidInput):
+            s.inverse()
+    m = data.draw(st.integers(min_value=1, max_value=3))
+    a = draw_matrix(data, ring, data.draw(st.integers(min_value=1, max_value=2)), m)
+    gens = a.kernel_gens()
+    zero_col = ((ring.zero,),) * a.nrows
+    for g in gens:
+        assert ref_product(ring, a.rows, tuple((x,) for x in g)) == zero_col
+    if ring.size**m <= 729:
+        kernel = {
+            v
+            for v in itertools.product(ELEMENTS[ring], repeat=m)
+            if ref_product(ring, a.rows, tuple((x,) for x in v)) == zero_col
+        }
+        assert span(ring, gens, m) == kernel
+
+
+# -- the residue-field verdict against inverse() --------------------------------
+
+# a stratified tenth of Z/25 per entry: zero, multiples of 5 and units in
+# every residue class, some with two lifts; 10^4 matrices instead of 25^4
+Z25_ENTRIES = tuple(Z25.from_int(c) for c in (0, 5, 10, 1, 6, 2, 3, 4, 19, 24))
+
+
+def inverse_succeeds(m):
+    try:
+        m.inverse()
+    except InvalidInput:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "ring, entries",
+    [(Z9, ELEMENTS[Z9]), (D3_2, ELEMENTS[D3_2]), (Z25, Z25_ENTRIES)],
+    ids=("Z/9", "F_3[t]/t^2", "Z/25"),
+)
+def test_residue_verdict_equals_inverse_on_2x2(ring, entries):
+    identity = Matrix.identity(ring, 2)
+    L = LData(1, (0,), (ring.one,))
+    seen = {True: 0, False: 0}
+    for a, b, c, d in itertools.product(entries, repeat=4):
+        m = Matrix(ring, [[a, b], [c, d]])
+        ok = inverse_succeeds(m)
+        seen[ok] += 1
+        assert m.is_invertible() == ok, m
+        module = FLModule(ring, (0, 0), [FLBlock((0, 0), m)])
+        if ok:
+            validate(module)
+        else:
+            with pytest.raises(SingularPhi, match="^block 0$"):
+                validate(module)
+        if b == c:
+            # weights 0 against s = 0 and Phi = 1: only perfectness can fail
+            plain = FLModule(ring, (0, 0), [FLBlock((0, 0), identity)])
+            paired = PairedFLModule(plain, L, (m,))
+            if ok:
+                validate_pairing(paired)
+            else:
+                with pytest.raises(NotPerfect, match="^block 0$"):
+                    validate_pairing(paired)
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("ring", (W9_2, D9_2), ids=repr)
+def test_singular_phi_and_gram_keep_their_names_and_messages(ring, tmp_path, capsys):
+    pi, one, zero = ring.pi(), ring.one, ring.zero
+    good = Matrix.identity(ring, 2)
+    # nonzero over the ring, singular on the residue field
+    singular = Matrix(ring, [[pi, one], [zero, pi]])
+    module = FLModule(ring, (0, 0), [FLBlock((0, 0), good), FLBlock((0, 0), singular)])
+    with pytest.raises(SingularPhi) as exc:
+        validate(module)
+    assert (type(exc.value).__name__, str(exc.value)) == ("SingularPhi", "block 1")
+
+    plain = FLModule(ring, (0, 0), [FLBlock((0, 0), good)] * 2)
+    gram = Matrix(ring, [[pi, zero], [zero, one]])
+    paired = PairedFLModule(plain, LData(1, (0, 0), (one, one)), (good, gram))
+    with pytest.raises(NotPerfect) as exc:
+        validate_pairing(paired)
+    assert (type(exc.value).__name__, str(exc.value)) == ("NotPerfect", "block 1")
+
+    path = tmp_path / "not_perfect.json"
+    path.write_text(dumps_canonical(paired_to_dict(paired)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "NotPerfect block 1\n"

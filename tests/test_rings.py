@@ -10,7 +10,10 @@ import pytest
 from flab.errors import InvalidInput, RingMismatch
 from flab.gf import field_generator
 from flab.rings import (
+    MAX_DEGREE,
+    MAX_LEVEL,
     PRIME_TRIAL_BOUND,
+    _encoding_order,
     make_field,
     make_ring,
     make_small_surjection,
@@ -76,6 +79,61 @@ def test_huge_prime_fails_fast():
         with pytest.raises(InvalidInput, match=HUGE_PRIME_VERDICT):
             build()
         assert time.perf_counter() - start < 1.0
+
+
+def test_degree_and_level_bounds_refuse_before_any_work():
+    # only the verdicts: no ring of these sizes is ever built
+    cases = [
+        (lambda: make_ring("witt", 3, 10**6, 1), f"^f = {10**6} exceeds the bound {MAX_DEGREE}$"),
+        (
+            lambda: make_ring("dual_numbers", 3, MAX_DEGREE + 1, 1),
+            f"^f = {MAX_DEGREE + 1} exceeds the bound {MAX_DEGREE}$",
+        ),
+        (lambda: make_ring("witt", 3, 1, 10**7), f"^level = {10**7} exceeds the bound {MAX_LEVEL}$"),
+        (
+            lambda: make_ring("dual_numbers", 5, 1, MAX_LEVEL + 1),
+            f"^level = {MAX_LEVEL + 1} exceeds the bound {MAX_LEVEL}$",
+        ),
+        (
+            lambda: make_field(3 ** (MAX_DEGREE + 1)),
+            f"^f = {MAX_DEGREE + 1} exceeds the bound {MAX_DEGREE}$",
+        ),
+        (
+            lambda: make_field(2 ** 10**6),
+            rf"^q of {10**6 + 1} bits exceeds every p\^f with f <= {MAX_DEGREE}$",
+        ),
+    ]
+    for build, verdict in cases:
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match=verdict):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_values_at_the_bounds_pass_the_guard(monkeypatch):
+    # the guard's verdict at the edge, with ring construction stubbed out
+    built = []
+    monkeypatch.setattr("flab.rings._cached_ring", lambda *key: built.append(key))
+    make_ring("witt", 3, MAX_DEGREE, MAX_LEVEL)
+    make_ring("dual_numbers", 3, MAX_DEGREE, MAX_LEVEL)
+    make_field(3**MAX_DEGREE)
+    make_field((2**20 - 3) ** MAX_DEGREE)  # the largest prime under the trial bound
+    assert built == [
+        ("witt", 3, MAX_DEGREE, MAX_LEVEL),
+        ("dual_numbers", 3, MAX_DEGREE, MAX_LEVEL),
+        ("witt", 3, MAX_DEGREE, 1),
+        ("witt", 2**20 - 3, MAX_DEGREE, 1),
+    ]
+
+
+def test_encoding_order_needs_no_recursion():
+    assert list(_encoding_order(3, 2)) == [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)
+    ]
+    assert list(_encoding_order(5, 0)) == [()]
+    order = _encoding_order(2, 10**5)
+    assert next(order) == (0,) * 10**5
+    assert next(order) == (1,) + (0,) * (10**5 - 1)
 
 
 def test_primes_up_to_the_square_of_the_bound_are_accepted():
