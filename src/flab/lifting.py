@@ -22,7 +22,7 @@ factor 2 (a unit, p odd).
 from __future__ import annotations
 
 from .errors import InternalRankFailure, InvalidInput, RingMismatch
-from .linalg import Matrix
+from .linalg import Matrix, _gauss_jordan, _scale_pivot_rows
 from .modules import (
     FLBlock,
     FLModule,
@@ -33,6 +33,7 @@ from .modules import (
 from .pairing import (
     LData,
     PairedFLModule,
+    _map_paired,
     _normalize,
     normalize_standard,
     reduce_paired,
@@ -40,7 +41,7 @@ from .pairing import (
     standard_gram,
     validate_pairing,
 )
-from .rings import RingElem, make_ring, make_small_surjection
+from .rings import make_ring, make_small_surjection
 
 
 class LiftProblem:
@@ -250,39 +251,18 @@ def _pair_value(kring, sign, x, y):
     return acc
 
 
-def _columns(M):
-    return [[row[j] for row in M._raw] for j in range(M.ncols)]
-
-
 def _solve_full_row_rank(kring, rows, rhs, width):
-    """Gauss with first-solvable column pivots on raw data; free coordinates
-    stay zero."""
-    sub, mul = kring._sub, kring._mul
-    zero = kring.zero.data
+    """Solution of a full-row-rank system on raw data by Gauss-Jordan on
+    [T | rhs]: the pivots are the leftmost independent columns and the free
+    coordinates stay zero."""
     work = [list(row) + [val] for row, val in zip(rows, rhs)]
-    pivots = []
-    used = set()
-    for col in range(width):
-        sel = None
-        for idx in range(len(work)):
-            if idx not in used and work[idx][col] != zero:
-                sel = idx
-                break
-        if sel is None:
-            continue
-        inv = kring.inv(RingElem(kring, work[sel][col])).data
-        work[sel] = [mul(inv, v) for v in work[sel]]
-        for idx in range(len(work)):
-            c = work[idx][col]
-            if idx != sel and c != zero:
-                work[idx] = [sub(v, mul(c, w)) for v, w in zip(work[idx], work[sel])]
-        used.add(sel)
-        pivots.append((sel, col))
-    if len(used) != len(work):
+    work, pivot_cols = _gauss_jordan(kring, work, width)
+    if len(pivot_cols) != len(work):
         raise InternalRankFailure("correction block lost full row rank")
-    x = [zero] * width
-    for sel, col in pivots:
-        x[col] = work[sel][width]
+    work = _scale_pivot_rows(kring, work, pivot_cols)
+    x = [kring.zero.data] * width
+    for row, col in zip(work, pivot_cols):
+        x[col] = row[width]
     return x
 
 
@@ -294,7 +274,7 @@ def solve_correction(system):
     sign = system.sign
     deltas = []
     for tau in range(system.witt_degree):
-        ccols = _columns(system.coeff[tau])
+        ccols = system.coeff[tau].transpose()._raw
         dmat = system.defect[tau]._raw
         F = system._functionals(tau)
         cols = {}
@@ -323,8 +303,8 @@ def residual(system, deltas):
     for tau in range(system.witt_degree):
         if deltas[tau].ring != k:
             raise RingMismatch(f"correction block {tau} is not over the residue field")
-        ccols = _columns(system.coeff[tau])
-        dcols = _columns(deltas[tau])
+        ccols = system.coeff[tau].transpose()._raw
+        dcols = deltas[tau].transpose()._raw
         defect = system.defect[tau]._raw
         rows = []
         for a in range(r):
@@ -379,26 +359,6 @@ def lift_small(prob):
     return lifted
 
 
-def _transport_level1(paired, new_ring):
-    # between the residue field and a level-1 ring of either family
-    module = paired.module
-
-    def up(x):
-        return new_ring._lift_data(module.ring, x)
-
-    blocks = [
-        FLBlock(blk.weights, blk.phi._map_data(up, new_ring)) for blk in module.blocks
-    ]
-    new_module = FLModule(new_ring, module.bounds, blocks)
-    L = LData(
-        paired.L.epsilon,
-        paired.L.s,
-        tuple(RingElem(new_ring, up(c.data)) for c in paired.L.c),
-    )
-    grams = tuple(g._map_data(up, new_ring) for g in paired.gram)
-    return PairedFLModule(new_module, L, grams)
-
-
 def lift_tower(base, n, family="witt"):
     """Chain of lifts over levels 1..n of one ring family.
 
@@ -418,7 +378,8 @@ def lift_tower(base, n, family="witt"):
     start = normalize_standard(base).pairing
     level1 = make_ring(family, ring.p, ring.f, 1)
     if level1 != ring:
-        start = _transport_level1(start, level1)
+        # the residue field as the level-1 ring of the family
+        start = _map_paired(start, lambda x: level1._lift_data(ring, x), level1)
     if n > 1:
         # normalize_standard has checked the pairing and the distinct weights
         validate(start.module)

@@ -12,12 +12,20 @@ out.  Arithmetic, transpose, kron, comparison and the eliminations run on
 the ring's ``_add``/``_sub``/``_mul`` and build their result through the
 trusted ``Matrix._from_data``, which skips the per-entry checks.
 
-* inverse()       Gauss-Jordan with unit pivots (a square matrix over a local
-                  ring is invertible iff that succeeds).
-* is_invertible() the same verdict from forward elimination over the residue
-                  field (Nakayama's lemma), without forming the inverse.
-* kernel_gens()   generating set of the right kernel via valuation-pivot
-                  elimination; over a residue field this is a basis.
+One division-free Gauss-Jordan with unit pivots, _gauss_jordan, serves four
+callers, none of which returns a basis:
+
+* inverse()       on [A | I], then one inversion per pivot (a square matrix
+                  over a local ring is invertible iff every column has one).
+* is_invertible() the same verdict from the pivot count over the residue field
+                  (Nakayama's lemma); nothing is inverted.
+* rank_field()    the pivot count over a residue field.
+* lifting._solve_full_row_rank, on [T | rhs], then one inversion per pivot.
+
+kernel_gens() is the one other elimination: a valuation-pivot sweep whose
+column operations give the torsion generators of the right kernel over W/p^n
+and k[t]/t^n.  Over a residue field its result is the basis read off the
+reduced echelon form: 1 at one free column, 0 at the others.
 """
 
 from __future__ import annotations
@@ -264,10 +272,10 @@ class Matrix:
         ]
         return Matrix._from_data(self.ring, out, self.ncols * other.ncols)
 
-    # -- inversion ------------------------------------------------------------
+    # -- eliminations -----------------------------------------------------------
 
     def inverse(self, error=None):
-        """Gauss-Jordan inverse with unit pivots.
+        """Inverse by Gauss-Jordan on [A | I].
 
         Over a local ring the matrix is invertible iff every column admits a
         unit pivot; otherwise `error` (or InvalidInput) is raised.
@@ -275,65 +283,39 @@ class Matrix:
         if self.nrows != self.ncols:
             raise InvalidInput("inverse of a non-square matrix")
         ring = self.ring
-        sub, mul = ring._sub, ring._mul
         n = self.nrows
         zero, one = ring.zero.data, ring.one.data
         work = [
-            row + [one if j == i else zero for j in range(n)]
-            for i, row in enumerate(map(list, self._raw))
+            list(row) + [one if j == i else zero for j in range(n)]
+            for i, row in enumerate(self._raw)
         ]
-        for j in range(n):
-            pivot_row = None
-            for i in range(j, n):
-                if ring._is_unit(work[i][j]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                raise error if error is not None else InvalidInput(
-                    "matrix is not invertible"
-                )
-            work[j], work[pivot_row] = work[pivot_row], work[j]
-            inv_p = ring.inv(RingElem(ring, work[j][j])).data
-            work[j] = [mul(inv_p, a) for a in work[j]]
-            for i in range(n):
-                c = work[i][j]
-                if i != j and c != zero:
-                    work[i] = [
-                        sub(a, mul(c, b)) if b != zero else a
-                        for a, b in zip(work[i], work[j])
-                    ]
+        work, pivot_cols = _gauss_jordan(ring, work, n)
+        if len(pivot_cols) < n:
+            raise error if error is not None else InvalidInput("matrix is not invertible")
+        work = _scale_pivot_rows(ring, work, pivot_cols)
         return Matrix._from_data(ring, [row[n:] for row in work], n)
 
     def is_invertible(self):
         """Whether the matrix is square and inverse() would succeed.
 
         By Nakayama's lemma a square matrix over a local ring is invertible
-        exactly when its reduction mod the maximal ideal is, so this runs
-        division-free forward elimination over the residue field: each step
-        takes a row with a nonzero leading entry p and replaces every other
-        row r by p * r - r[0] * pivot, dropping the leading column.
+        exactly when its reduction mod the maximal ideal is, so this counts
+        the pivots of the elimination over the residue field; nothing is
+        inverted.
         """
         if self.nrows != self.ncols:
             return False
-        ring = self.ring
-        k = ring.residue_ring()
-        sub, mul = k._sub, k._mul
-        zero = k.zero.data
-        residue = ring._residue_data
+        residue = self.ring._residue_data
         work = [[residue(x) for x in row] for row in self._raw]
-        while work:
-            pivot = next((row for row in work if row[0] != zero), None)
-            if pivot is None:
-                return False
-            work.remove(pivot)
-            p = pivot[0]
-            work = [
-                [sub(mul(p, a), mul(row[0], b)) for a, b in zip(row[1:], pivot[1:])]
-                if row[0] != zero
-                else row[1:]
-                for row in work
-            ]
-        return True
+        _, pivot_cols = _gauss_jordan(self.ring.residue_ring(), work, self.ncols)
+        return len(pivot_cols) == self.nrows
+
+    def rank_field(self):
+        """Rank over a residue field: the pivot count of the elimination."""
+        if not self.ring.is_field():
+            raise InvalidInput("rank_field needs a field")
+        _, pivot_cols = _gauss_jordan(self.ring, [list(row) for row in self._raw], self.ncols)
+        return len(pivot_cols)
 
     # -- kernels ----------------------------------------------------------------
 
@@ -410,9 +392,49 @@ class Matrix:
             gens.append(tuple(RingElem(ring, x) for x in col))
         return tuple(gens)
 
-    def rank_field(self):
-        """Rank over a residue field (pivot count of the elimination)."""
-        if not self.ring.is_field():
-            raise InvalidInput("rank_field needs a field")
-        return self.ncols - len(self.kernel_gens())
 
+def _gauss_jordan(ring, rows, width):
+    """Division-free Gauss-Jordan on the first width columns, in place.
+
+    rows is a list of lists of raw data over a local ring.  Columns are taken
+    left to right; each pivots on the first unused row whose entry is a unit,
+    which moves up to the next pivot position, and every other row r with a
+    nonzero entry c in that column becomes p * r - c * (pivot row), p the
+    pivot.  Scaling by the unit p keeps the row span, so no inversion is
+    needed.  Zero entries are skipped in the pivot scan and the update.
+    Returns (rows, pivot_cols) with rows[i] the pivot row of pivot_cols[i].
+    """
+    sub, mul, is_unit = ring._sub, ring._mul, ring._is_unit
+    zero, one = ring.zero.data, ring.one.data
+    pivot_cols = []
+    for col in range(width):
+        top = len(pivot_cols)
+        for sel in range(top, len(rows)):
+            x = rows[sel][col]
+            if x != zero and is_unit(x):
+                break
+        else:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        pivot_row = rows[top]
+        p = pivot_row[col]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if i == top or c == zero:
+                continue
+            if p != one:
+                row = [mul(p, a) if a != zero else a for a in row]
+            rows[i] = [sub(a, mul(c, b)) if b != zero else a for a, b in zip(row, pivot_row)]
+        pivot_cols.append(col)
+    return rows, pivot_cols
+
+
+def _scale_pivot_rows(ring, rows, pivot_cols):
+    """Scale each pivot row of _gauss_jordan by the inverse of its pivot, one
+    Ring.inv apiece: the reduced echelon form on the pivot columns."""
+    mul = ring._mul
+    zero = ring.zero.data
+    for i, col in enumerate(pivot_cols):
+        s = ring.inv(RingElem(ring, rows[i][col])).data
+        rows[i] = [mul(s, a) if a != zero else a for a in rows[i]]
+    return rows

@@ -302,11 +302,7 @@ def base_change(module, target):
         raise InvalidInput("base_change expects a SmallSurj or a ring")
     low = module.ring
     upper._check_lift(low)
-    blocks = [
-        FLBlock(blk.weights, blk.phi._map_data(lambda x: upper._lift_data(low, x), upper))
-        for blk in module.blocks
-    ]
-    return FLModule(upper, module.bounds, blocks)
+    return _map_module(module, lambda x: upper._lift_data(low, x), upper)
 
 
 def reduce(module, surj):
@@ -314,11 +310,13 @@ def reduce(module, surj):
     if module.ring != surj.source:
         raise RingMismatch("module is not over the source of the surjection")
     source, target = surj.source, surj.target
-    blocks = [
-        FLBlock(blk.weights, blk.phi._map_data(lambda x: source._reduce_data(x, target), target))
-        for blk in module.blocks
-    ]
-    return FLModule(target, module.bounds, blocks)
+    return _map_module(module, lambda x: source._reduce_data(x, target), target)
+
+
+def _map_module(module, fn, ring):
+    # the module over ring with fn applied to the raw data of every Φ entry
+    blocks = [FLBlock(blk.weights, blk.phi._map_data(fn, ring)) for blk in module.blocks]
+    return FLModule(ring, module.bounds, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ from .linalg import Matrix
 from .modules import (
     FLBlock,
     FLModule,
+    _map_module,
     check_multiplicity_free,
     divided,
     first_unadapted,
 )
-from .modules import reduce as _reduce_module
 from .rings import RingElem
 
 
@@ -279,18 +279,18 @@ def reduce_paired(paired, surj):
     target = surj.target
     if paired.module.ring != source:
         raise RingMismatch("paired module must live over the source ring")
+    return _map_paired(paired, lambda x: source._reduce_data(x, target), target)
 
-    def down(x):
-        return source._reduce_data(x, target)
 
-    module = _reduce_module(paired.module, surj)
-    L = LData(
-        paired.L.epsilon,
-        paired.L.s,
-        tuple(RingElem(target, down(c.data)) for c in paired.L.c),
+def _map_paired(paired, fn, ring):
+    # the paired module over ring with fn applied to all raw data: Φ, the
+    # twisting units and the Gram matrices
+    L = paired.L
+    return PairedFLModule(
+        _map_module(paired.module, fn, ring),
+        LData(L.epsilon, L.s, tuple(RingElem(ring, fn(c.data)) for c in L.c)),
+        tuple(g._map_data(fn, ring) for g in paired.gram),
     )
-    grams = tuple(g._map_data(down, target) for g in paired.gram)
-    return PairedFLModule(module, L, grams)
 
 
 # ---------------------------------------------------------------------------

@@ -119,17 +119,30 @@ def _poly_gcd(a, b, p):
 
 
 def _prime_factors(n):
+    """Distinct prime factors of n, ascending, by trial division.
+
+    Division stops at PRIME_TRIAL_BOUND: a cofactor above its square with no
+    smaller prime factor raises InvalidInput instead of dividing on.
+    """
     out = []
     d = 2
     while d * d <= n:
+        if d > PRIME_TRIAL_BOUND:
+            raise _beyond_trial_bound(n)
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out
+
+
+def _beyond_trial_bound(n):
+    return InvalidInput(
+        f"{n} has no prime factor up to the trial-division bound {PRIME_TRIAL_BOUND}"
+    )
 
 
 def _is_irreducible(g, p):
@@ -201,10 +214,7 @@ def _split_prime_power(n):
         if p * p > n:
             return n, 1
         if p > PRIME_TRIAL_BOUND:
-            raise InvalidInput(
-                f"{n} has no prime factor up to the trial-division bound "
-                f"{PRIME_TRIAL_BOUND}"
-            )
+            raise _beyond_trial_bound(n)
     e = 0
     while n % p == 0:
         n //= p

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gf import field_generator
 from .linalg import Matrix
-from .modules import FLBlock, FLModule, is_morphism, tensor, validate
+from .modules import FLBlock, FLModule, _pair_order, is_morphism, tensor, validate
 from .rings import make_field
 
 
@@ -198,12 +198,9 @@ def build_simple(spec, q):
 
 
 def _tensor_positions(ma, mb):
-    wa = ma.blocks[0].weights
-    wb = mb.blocks[0].weights
-    pairs = sorted(
-        (wa[u] + wb[v], u, v) for u in range(len(wa)) for v in range(len(wb))
-    )
-    return {(u, v): idx for idx, (_, u, v) in enumerate(pairs)}
+    # the basis order of tensor(ma, mb), so embeddings index into it
+    order, _ = _pair_order(ma.blocks[0].weights, mb.blocks[0].weights)
+    return {pair: idx for idx, pair in enumerate(order)}
 
 
 class Embedding:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import flab
 from flab.cli import main
 from flab.io import (
     document_to_object,
@@ -282,3 +287,24 @@ def test_huge_degree_or_level_in_a_document_exits_1(tmp_path, capsys):
     assert main(["tensor-simples", "--h", "1", "--i", "0", "--h2", "1", "--i2", "0",
                  "--q", str(3**33), "--embeddings"]) == 1
     assert capsys.readouterr().err == "InvalidInput f = 33 exceeds the bound 32\n"
+
+
+def test_huge_q_with_embeddings_exits_1_quickly():
+    # q - 1 for q = 1048573^32 keeps a cofactor beyond the square of the
+    # trial-division bound, which the generator search used to divide on
+    q = 1048573**32
+    argv = ["tensor-simples", "--h", "2", "--i", "0,1", "--h2", "2", "--i2", "0,1",
+            "--q", str(q), "--embeddings"]
+    src = os.path.dirname(os.path.dirname(flab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("InvalidInput ")
+    assert proc.stderr.endswith(" has no prime factor up to the trial-division bound 1048576\n")
+    assert elapsed < 5, elapsed

@@ -5,26 +5,32 @@
 * Invertibility: the residue-field verdict of is_invertible (and of the
   SingularPhi / NotPerfect checks built on it) equals "inverse() succeeds"
   on every 2x2 matrix over small chain rings.
+* The shared Gauss-Jordan: over a field, kernel_gens equals the basis read
+  off its reduced echelon form and rank_field its pivot count; the lifting
+  solver agrees with brute force; only inverse and the solver invert.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flab.cli import main
-from flab.errors import InvalidInput, NotPerfect, SingularPhi
+from flab.errors import InternalRankFailure, InvalidInput, NotPerfect, SingularPhi
 from flab.io import dumps_canonical, paired_to_dict
-from flab.linalg import Matrix
+from flab.lifting import _solve_full_row_rank
+from flab.linalg import Matrix, _gauss_jordan, _scale_pivot_rows
 from flab.modules import FLBlock, FLModule, validate
 from flab.pairing import LData, PairedFLModule, validate_pairing
-from flab.rings import make_field, make_ring
+from flab.rings import Ring, RingElem, make_field, make_ring
 
 F5 = make_field(5)
 F9 = make_field(9)
+F25 = make_field(25)
 Z9 = make_ring("witt", 3, 1, 2)
 Z25 = make_ring("witt", 5, 1, 2)
 Z27 = make_ring("witt", 3, 1, 3)
@@ -216,3 +222,143 @@ def test_singular_phi_and_gram_keep_their_names_and_messages(ring, tmp_path, cap
     path.write_text(dumps_canonical(paired_to_dict(paired)), encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == "NotPerfect block 1\n"
+
+
+# -- the shared Gauss-Jordan ------------------------------------------------------
+
+
+def random_matrix(ring, n, m, rng):
+    return Matrix(ring, [[ring.random_element(rng) for _ in range(m)] for _ in range(n)])
+
+
+def field_matrices(ring, rng):
+    """Random, rank-deficient and zero-row matrices over a field."""
+    out = [Matrix.zero(ring, 2, 3)]
+    for n, m in ((1, 1), (1, 4), (2, 3), (3, 3), (3, 5), (4, 2), (4, 6)):
+        out.append(random_matrix(ring, n, m, rng))
+        r = rng.randrange(1, min(n, m) + 1)
+        out.append(random_matrix(ring, n, r, rng) * random_matrix(ring, r, m, rng))
+        rows = list(random_matrix(ring, n, m, rng).rows)
+        rows[rng.randrange(n)] = (ring.zero,) * m
+        out.append(Matrix(ring, rows))
+    return out
+
+
+def echelon_kernel_basis(a):
+    """Null-space basis read off the reduced echelon form: per free column f,
+    ascending, 1 at f, 0 at the other free columns, -R[i][f] at pivot i."""
+    ring = a.ring
+    zero, one = ring.zero.data, ring.one.data
+    rows, pivot_cols = _gauss_jordan(ring, [list(row) for row in a._raw], a.ncols)
+    rows = _scale_pivot_rows(ring, rows, pivot_cols)
+    basis = []
+    for f in range(a.ncols):
+        if f in pivot_cols:
+            continue
+        v = [zero] * a.ncols
+        v[f] = one
+        for i, col in enumerate(pivot_cols):
+            v[col] = ring._sub(zero, rows[i][f])
+        basis.append(tuple(v))
+    return basis, len(pivot_cols)
+
+
+@pytest.mark.parametrize("ring", (F5, F9, F25), ids=repr)
+def test_field_kernel_is_the_reduced_echelon_basis(ring):
+    rng = random.Random(7)
+    for _ in range(20):
+        for a in field_matrices(ring, rng):
+            basis, rank = echelon_kernel_basis(a)
+            assert [tuple(x.data for x in g) for g in a.kernel_gens()] == basis
+            assert a.rank_field() == rank == a.ncols - len(basis)
+            zero_col = Matrix.zero(ring, a.nrows, 1)
+            for v in basis:
+                assert a * Matrix._from_data(ring, [[x] for x in v], 1) == zero_col
+
+
+def dot(ring, u, v):
+    return ring_sum(ring, (a * b for a, b in zip(u, v)))
+
+
+def leftmost_independent_columns(ring, rows, width):
+    # column j is a pivot when it is outside the span of the columns before it
+    cols = [tuple(row[j] for row in rows) for j in range(width)]
+    pivots = []
+    for j in range(width):
+        spanned = {
+            tuple(dot(ring, coeffs, [col[i] for col in cols]) for i in range(len(rows)))
+            for coeffs in itertools.product(ELEMENTS[ring], repeat=j)
+        }
+        if cols[j] not in spanned:
+            pivots.append(j)
+    return pivots
+
+
+@pytest.mark.parametrize("ring", (F5, F9), ids=repr)
+def test_solve_full_row_rank_against_brute_force(ring):
+    rng = random.Random(11)
+    solved = 0
+    for _ in range(60):
+        width = rng.randrange(1, 4)
+        height = rng.randrange(1, width + 1)
+        rows = [list(row) for row in random_matrix(ring, height, width, rng).rows]
+        if rng.random() < 0.3:
+            # a repeated leading column makes the pivots skip one
+            for row in rows:
+                row[min(1, width - 1)] = row[0]
+        rhs = [ring.random_element(rng) for _ in range(height)]
+        raw = [[x.data for x in row] for row in rows]
+        raw_rhs = [x.data for x in rhs]
+        pivots = leftmost_independent_columns(ring, rows, width)
+        if len(pivots) < height:
+            with pytest.raises(InternalRankFailure, match="lost full row rank"):
+                _solve_full_row_rank(ring, raw, raw_rhs, width)
+            continue
+        x = tuple(RingElem(ring, d) for d in _solve_full_row_rank(ring, raw, raw_rhs, width))
+        solutions = [
+            v
+            for v in itertools.product(ELEMENTS[ring], repeat=width)
+            if all(dot(ring, row, v) == c for row, c in zip(rows, rhs))
+        ]
+        free = [j for j in range(width) if j not in pivots]
+        assert [v for v in solutions if all(v[j] == ring.zero for j in free)] == [x]
+        solved += 1
+    assert solved > 20
+
+
+@pytest.fixture
+def inv_calls(monkeypatch):
+    calls = []
+    inv = Ring.inv
+
+    def counting_inv(self, x):
+        calls.append(self)
+        return inv(self, x)
+
+    monkeypatch.setattr(Ring, "inv", counting_inv)
+    return calls
+
+
+def test_only_inverse_inverts_one_pivot_per_row(inv_calls):
+    # calls on the matrix ring only: W(F_9)/9 and F_9[t]/t^2 invert a unit
+    # through an inversion in the residue field
+    rng = random.Random(5)
+    for ring in (F25, Z9, W9_2, D9_2):
+        for n in (1, 2, 3, 4):
+            m = Matrix.identity(ring, n) + ring.pi() * random_matrix(ring, n, n, rng)
+            wide = random_matrix(ring, n, n + 1, rng)
+            del inv_calls[:]
+            assert m.is_invertible()
+            wide.is_invertible()
+            if ring.is_field():
+                wide.rank_field()
+            assert inv_calls == []
+            inv = m.inverse()
+            assert inv_calls.count(ring) == n
+            assert m * inv == Matrix.identity(ring, n) == inv * m
+    # over Z/9 the first nonzero entry 3 of column 0 is no unit: the pivot
+    # is the 1 below it
+    m = Matrix(Z9, [[3, 1], [1, 1]])
+    del inv_calls[:]
+    assert m.inverse() == Matrix(Z9, [[5, 4], [4, 6]])
+    assert len(inv_calls) == 2

@@ -14,6 +14,7 @@ from flab.rings import (
     MAX_LEVEL,
     PRIME_TRIAL_BOUND,
     _encoding_order,
+    _prime_factors,
     make_field,
     make_ring,
     make_small_surjection,
@@ -134,6 +135,23 @@ def test_encoding_order_needs_no_recursion():
     order = _encoding_order(2, 10**5)
     assert next(order) == (0,) * 10**5
     assert next(order) == (1,) + (0,) * (10**5 - 1)
+
+
+def test_prime_factors_stop_at_the_trial_bound():
+    # 1048583 and 1048589 are the two smallest primes above 2^20
+    n = 1048583 * 1048589
+    with pytest.raises(
+        InvalidInput,
+        match=f"^{n} has no prime factor up to the trial-division bound {PRIME_TRIAL_BOUND}$",
+    ):
+        _prime_factors(n)
+    # the largest prime below 2^40 is still factored, as is 3^32 - 1, the
+    # order of F_{3^32}^*, whose factors are unchanged by the bound
+    assert _prime_factors(2**40 - 87) == [2**40 - 87]
+    assert _prime_factors(3**32 - 1) == [2, 5, 17, 41, 193, 21523361]
+    # a huge cofactor after the small primes are divided out also stops
+    with pytest.raises(InvalidInput, match="trial-division bound"):
+        _prime_factors(2**10 * 3 * n)
 
 
 def test_primes_up_to_the_square_of_the_bound_are_accepted():
