@@ -22,7 +22,7 @@ factor 2 (a unit, p odd).
 from __future__ import annotations
 
 from .errors import InternalRankFailure, InvalidInput, RingMismatch
-from .linalg import Matrix, _gauss_jordan, _scale_pivot_rows
+from .linalg import Matrix, _form, _gauss_jordan, _scale_pivot_rows
 from .modules import (
     FLBlock,
     FLModule,
@@ -202,16 +202,23 @@ def build_correction_system(prob, initial_lift=None):
         for tau in range(fprime)
     )
     std_upper = standard_gram(upper, rank, eps)
+    uzero = upper.zero.data
     kring = upper.residue_ring()
     defects = []
     coeffs = []
     for tau in range(fprime):
         C = lifts[tau]
-        dmat = lambda_lift[tau] * std_upper - C.transpose() * std_upper * C
-        if dmat.transpose() != eps * dmat:
-            raise InternalRankFailure(f"defect of block {tau} lost ε-symmetry")
+        dmat = (
+            lambda_lift[tau] * std_upper
+            - Matrix._from_data(upper, _form(C, std_upper, C), rank)
+        )._raw
+        # both triangles: D^T = ε D entry by entry
+        for a, drow in enumerate(dmat):
+            for b, x in enumerate(drow):
+                if dmat[b][a] != (x if eps == 1 else upper._sub(uzero, x)):
+                    raise InternalRankFailure(f"defect of block {tau} lost ε-symmetry")
         rows = []
-        for a, drow in enumerate(dmat._raw):
+        for a, drow in enumerate(dmat):
             row = []
             for b, x in enumerate(drow):
                 try:

@@ -22,6 +22,17 @@ callers, none of which returns a basis:
 * rank_field()    the pivot count over a residue field.
 * lifting._solve_full_row_rank, on [T | rhs], then one inversion per pivot.
 
+is_invertible() and rank_field() run it forward only: they count pivots, so
+the rows above each pivot are left unreduced.
+
+_form(X, G, Y) gives the raw rows of the bilinear form X^T G Y without the
+general product, skipping the zero entries of G and X: against a unit
+multiple of the standard form, G Y takes r^2 products at most and X^T (G Y)
+r^3; with upper=True only the entries on and above the diagonal are formed.
+Its callers are pairing.validate_pairing (the Φ-compatibility check, upper),
+pairing.change_basis (the new Gram V^T G V) and
+lifting.build_correction_system (the defect C^T S C).
+
 kernel_gens() is the one other elimination: a valuation-pivot sweep whose
 column operations give the torsion generators of the right kernel over W/p^n
 and k[t]/t^n.  Over a residue field its result is the basis read off the
@@ -210,9 +221,17 @@ class Matrix:
         return self._scaled(other)
 
     def _scaled(self, scalar):
-        mul = self.ring._mul
         s = _coerce_entry(self.ring, scalar)
-        return self._map_data(lambda a: mul(a, s))
+        if s == self.ring.one.data:
+            return self  # immutable, and ω = 1 or c = 1 is the common case
+        mul = self.ring._mul
+        zero = self.ring.zero.data
+        # c * 0 = 0 in every ring, so zero entries are kept as they are
+        return Matrix._from_data(
+            self.ring,
+            [[mul(a, s) if a != zero else a for a in row] for row in self._raw],
+            self.ncols,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -307,14 +326,18 @@ class Matrix:
             return False
         residue = self.ring._residue_data
         work = [[residue(x) for x in row] for row in self._raw]
-        _, pivot_cols = _gauss_jordan(self.ring.residue_ring(), work, self.ncols)
+        _, pivot_cols = _gauss_jordan(
+            self.ring.residue_ring(), work, self.ncols, forward_only=True
+        )
         return len(pivot_cols) == self.nrows
 
     def rank_field(self):
         """Rank over a residue field: the pivot count of the elimination."""
         if not self.ring.is_field():
             raise InvalidInput("rank_field needs a field")
-        _, pivot_cols = _gauss_jordan(self.ring, [list(row) for row in self._raw], self.ncols)
+        _, pivot_cols = _gauss_jordan(
+            self.ring, [list(row) for row in self._raw], self.ncols, forward_only=True
+        )
         return len(pivot_cols)
 
     # -- kernels ----------------------------------------------------------------
@@ -393,7 +416,54 @@ class Matrix:
         return tuple(gens)
 
 
-def _gauss_jordan(ring, rows, width):
+def _form(X, G, Y, upper=False):
+    """Raw rows of X^T G Y, for matrices over one ring with G.nrows ==
+    X.nrows and G.ncols == Y.nrows; with upper, the entries below the
+    diagonal are left zero.
+
+    G Y is built from the nonzero entries of each row of G, entries ±1
+    copying or negating a row of Y; sums start at their first term.
+    """
+    ring = G.ring
+    add, sub, mul = ring._add, ring._sub, ring._mul
+    zero, one = ring.zero.data, ring.one.data
+    minus_one = sub(zero, one)
+    width = Y.ncols
+    y = Y._raw
+    gy = []
+    for grow in G._raw:
+        acc = None
+        for k, g in enumerate(grow):
+            if g == zero:
+                continue
+            if g == one:
+                term = y[k]
+            elif g == minus_one:
+                term = [sub(zero, b) if b != zero else b for b in y[k]]
+            else:
+                term = [mul(g, b) if b != zero else b for b in y[k]]
+            acc = term if acc is None else [
+                add(a, b) if b != zero else a for a, b in zip(acc, term)
+            ]
+        gy.append([zero] * width if acc is None else acc)
+    x = X._raw
+    out = []
+    for i in range(X.ncols):
+        terms = [(row[i], gy[u]) for u, row in enumerate(x) if row[i] != zero]
+        out_row = [zero] * width
+        for j in range(i if upper else 0, width):
+            acc = zero
+            for a, gyrow in terms:
+                b = gyrow[j]
+                if b != zero:
+                    b = mul(a, b)
+                    acc = b if acc == zero else add(acc, b)
+            out_row[j] = acc
+        out.append(out_row)
+    return out
+
+
+def _gauss_jordan(ring, rows, width, forward_only=False):
     """Division-free Gauss-Jordan on the first width columns, in place.
 
     rows is a list of lists of raw data over a local ring.  Columns are taken
@@ -402,6 +472,9 @@ def _gauss_jordan(ring, rows, width):
     nonzero entry c in that column becomes p * r - c * (pivot row), p the
     pivot.  Scaling by the unit p keeps the row span, so no inversion is
     needed.  Zero entries are skipped in the pivot scan and the update.
+    With forward_only the rows above the pivot are left alone: the pivot
+    search only reads the rows below, so the pivot columns are the same, for
+    callers that only count them.
     Returns (rows, pivot_cols) with rows[i] the pivot row of pivot_cols[i].
     """
     sub, mul, is_unit = ring._sub, ring._mul, ring._is_unit
@@ -418,7 +491,8 @@ def _gauss_jordan(ring, rows, width):
         rows[top], rows[sel] = rows[sel], rows[top]
         pivot_row = rows[top]
         p = pivot_row[col]
-        for i, row in enumerate(rows):
+        for i in range(top + 1 if forward_only else 0, len(rows)):
+            row = rows[i]
             c = row[col]
             if i == top or c == zero:
                 continue

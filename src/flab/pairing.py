@@ -14,6 +14,12 @@ The axioms checked by validate_pairing:
 * Φ-compatibility: Φ_τ^T G_{στ} Φ_τ = c_τ · (p^{s_τ-w_i-w_j} G_τ[i,j])_{ij}.
   The filtration check and this divided Gram are modules.first_unadapted
   and modules.divided with row weights s_τ - w_i and column weights w_j.
+  It is decided on the entries i <= j only, and runs after the symmetry
+  check has passed on every block: then G_{στ}^T = ε G_{στ} makes the left
+  side ε-symmetric, and the weight gap s_τ - w_i - w_j, symmetric in (i, j),
+  makes the right side ε-symmetric, so the two sides agree everywhere
+  exactly when they agree on and above the diagonal.  The left side is
+  linalg._form on raw data.
 
 normalize_standard turns any multiplicity-free valid pairing into an exact
 unit multiple ω_τ of the standard anti-diagonal form by a weight-adapted
@@ -22,6 +28,8 @@ result holds over every level of the ring tower.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import (
     FiltrationViolation,
@@ -33,7 +41,7 @@ from .errors import (
     RingMismatch,
     SymmetryViolation,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _form
 from .modules import (
     FLBlock,
     FLModule,
@@ -155,8 +163,12 @@ class NormalizationResult:
 # standard forms
 
 
+@functools.lru_cache
 def standard_gram(ring, rank, epsilon):
-    """Antidiagonal ones for ε=+1; [[0, J],[-J, 0]] layout for ε=-1."""
+    """Antidiagonal ones for ε=+1; [[0, J],[-J, 0]] layout for ε=-1.
+
+    Cached per (ring, rank, ε): the Matrix is immutable, and errors are
+    raised again on every call."""
     if epsilon not in (1, -1):
         raise InvalidInput("epsilon must be +1 or -1")
     if epsilon == -1 and rank % 2:
@@ -231,12 +243,13 @@ def validate_pairing(paired):
             raise NotPerfect(f"block {tau} weights are not self-dual for s = {s}")
         if not G.is_invertible():
             raise NotPerfect(f"block {tau}")
+    # every Gram block is ε-symmetric by now, so i <= j decides (module docstring)
     for tau, blk in enumerate(module.blocks):
         stau = (tau + 1) % module.witt_degree
-        lhs = blk.phi.transpose() * paired.gram[stau] * blk.phi
+        lhs = _form(blk.phi, paired.gram[stau], blk.phi, upper=True)
         w = blk.weights
-        rhs = L.c[tau] * divided(paired.gram[tau], [L.s[tau] - x for x in w], w)
-        if lhs != rhs:
+        rhs = (L.c[tau] * divided(paired.gram[tau], [L.s[tau] - x for x in w], w))._raw
+        if any(lhs[i][j] != rhs[i][j] for i in range(rank) for j in range(i, rank)):
             raise PhiIncompatible(f"block {tau}")
 
 
@@ -266,9 +279,10 @@ def change_basis(paired, vs):
     for tau in range(fprime):
         stau = (tau + 1) % fprime
         blk = module.blocks[tau]
-        W = divided(vs[tau], blk.weights, blk.weights)
+        V = vs[tau]
+        W = divided(V, blk.weights, blk.weights)
         blocks.append(FLBlock(blk.weights, inverses[stau] * (blk.phi * W)))
-        grams.append(vs[tau].transpose() * paired.gram[tau] * vs[tau])
+        grams.append(Matrix._from_data(ring, _form(V, paired.gram[tau], V), V.ncols))
     new_module = FLModule(ring, module.bounds, blocks)
     return PairedFLModule(new_module, paired.L, grams)
 

@@ -118,25 +118,33 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n):
-    """Distinct prime factors of n, ascending, by trial division.
+def _trial_factors(n):
+    """(p, e) for each prime power p**e exactly dividing n, p ascending, by
+    trial division; lazily, so a caller that stops early divides no further.
 
-    Division stops at PRIME_TRIAL_BOUND: a cofactor above its square with no
-    smaller prime factor raises InvalidInput instead of dividing on.
+    The last factor may be a cofactor above the square of every trial
+    divisor, hence prime.  Division stops at PRIME_TRIAL_BOUND: a cofactor
+    above its square with no smaller prime factor raises InvalidInput
+    naming that cofactor instead of dividing on.
     """
-    out = []
     d = 2
     while d * d <= n:
         if d > PRIME_TRIAL_BOUND:
             raise _beyond_trial_bound(n)
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
+                e += 1
+            yield d, e
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        yield n, 1
+
+
+def _prime_factors(n):
+    """Distinct prime factors of n, ascending (see _trial_factors)."""
+    return [p for p, _ in _trial_factors(n)]
 
 
 def _beyond_trial_bound(n):
@@ -202,24 +210,14 @@ def minimal_polynomial(p, f):
 def _split_prime_power(n):
     """(p, e) with n == p**e and p prime, or None when n is no prime power.
 
-    Trial division stops at sqrt(n); an n with no prime factor up to
-    PRIME_TRIAL_BOUND but above its square raises InvalidInput instead of
-    dividing on.
+    Only the smallest prime factor is needed, so trial division stops at
+    the first one found; an n with no prime factor up to PRIME_TRIAL_BOUND
+    but above its square raises InvalidInput (see _trial_factors).
     """
     if n < 2:
         return None
-    p = 2
-    while n % p:
-        p += 1 if p == 2 else 2
-        if p * p > n:
-            return n, 1
-        if p > PRIME_TRIAL_BOUND:
-            raise _beyond_trial_bound(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return (p, e) if n == 1 else None
+    p, e = next(_trial_factors(n))
+    return (p, e) if p**e == n else None
 
 
 # ---------------------------------------------------------------------------

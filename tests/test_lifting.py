@@ -8,6 +8,7 @@ import flab.lifting
 import flab.pairing
 from flab.errors import (
     FlabError,
+    InternalRankFailure,
     InvalidInput,
     MultiplicityNotFree,
     RangeViolation,
@@ -177,6 +178,38 @@ def test_defect_perturbation_is_linear_and_local():
         for b in range(3):
             if 1 not in (a, b):
                 assert d1[a, b] == kz
+
+
+@pytest.mark.parametrize("eps, rank, s", [(1, 3, 2), (-1, 2, 1), (-1, 4, 3), (1, 2, 1)])
+def test_defect_symmetry_check_reads_both_triangles(monkeypatch, eps, rank, s):
+    # a kernel element added to one entry of the form C^T S C, at every
+    # position: the defect stays in the kernel, and only the ε-symmetry
+    # check can see the change
+    rng = random.Random(13)
+    paired = random_paired_module(rng, make_field(11), rank, eps, s=s)
+    upper = make_ring("witt", 11, 1, 2)
+    prob = LiftProblem(paired, make_small_surjection(upper))
+    base = build_correction_system(prob).defect[0]
+    g = prob.kernel_elem.data
+    form = flab.lifting._form
+    for i in range(rank):
+        for j in range(rank):
+
+            def perturbed(X, G, Y, upper=False):
+                out = form(X, G, Y, upper)
+                out[i][j] = X.ring._add(out[i][j], g)
+                return out
+
+            monkeypatch.setattr(flab.lifting, "_form", perturbed)
+            if i == j and eps == 1:
+                defect = build_correction_system(prob).defect[0]
+                assert [(a, b) for a in range(rank) for b in range(rank)
+                        if defect[a, b] != base[a, b]] == [(i, i)]
+            else:
+                with pytest.raises(
+                    InternalRankFailure, match="^defect of block 0 lost ε-symmetry$"
+                ):
+                    build_correction_system(prob)
 
 
 def test_initial_lift_must_reduce_to_the_base(pcanon2):

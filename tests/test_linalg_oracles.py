@@ -7,7 +7,10 @@
   on every 2x2 matrix over small chain rings.
 * The shared Gauss-Jordan: over a field, kernel_gens equals the basis read
   off its reduced echelon form and rank_field its pivot count; the lifting
-  solver agrees with brute force; only inverse and the solver invert.
+  solver agrees with brute force; only inverse and the solver invert; the
+  forward-only mode finds the same pivot columns.
+* The form helper: _form(X, G, Y) equals X^T * G * Y, and on i <= j with
+  upper=True; scaling equals the entrywise product.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from flab.cli import main
 from flab.errors import InternalRankFailure, InvalidInput, NotPerfect, SingularPhi
 from flab.io import dumps_canonical, paired_to_dict
 from flab.lifting import _solve_full_row_rank
-from flab.linalg import Matrix, _gauss_jordan, _scale_pivot_rows
+from flab.linalg import Matrix, _form, _gauss_jordan, _scale_pivot_rows
 from flab.modules import FLBlock, FLModule, validate
 from flab.pairing import LData, PairedFLModule, validate_pairing
 from flab.rings import Ring, RingElem, make_field, make_ring
@@ -362,3 +365,93 @@ def test_only_inverse_inverts_one_pivot_per_row(inv_calls):
     del inv_calls[:]
     assert m.inverse() == Matrix(Z9, [[5, 4], [4, 6]])
     assert len(inv_calls) == 2
+
+
+def test_forward_only_finds_the_same_pivot_columns():
+    rng = random.Random(9)
+    for ring in (F5, F9, Z9, Z27, W9_2, D3_2):
+        for n, m in ((1, 1), (2, 3), (3, 3), (3, 5), (4, 2), (4, 4)):
+            for a in (
+                random_matrix(ring, n, m, rng),
+                random_matrix(ring, n, 1, rng) * random_matrix(ring, 1, m, rng),
+                Matrix.zero(ring, n, m),
+            ):
+                full = _gauss_jordan(ring, [list(row) for row in a._raw], m)[1]
+                forward = _gauss_jordan(ring, [list(row) for row in a._raw], m, True)[1]
+                assert forward == full
+
+
+# -- the form helper --------------------------------------------------------------
+
+
+def monomial_matrix(ring, n, rng):
+    """A random permutation matrix with random unit entries: one nonzero per
+    row and column, like a unit multiple of the standard form."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[ring.zero] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = ring.random_unit(rng)
+    return Matrix(ring, rows)
+
+
+def form_cases(ring, rng):
+    """(X, G, Y) over ring: dense, monomial and zero G, square and non-square
+    X and Y, zero X and signed standard forms."""
+    cases = []
+    for n, m, k, l in ((1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4),
+                       (3, 2, 2, 4), (2, 4, 3, 1), (4, 1, 2, 3)):
+        X = random_matrix(ring, n, m, rng)
+        Y = random_matrix(ring, k, l, rng)
+        cases.append((X, random_matrix(ring, n, k, rng), Y))
+        cases.append((X, Matrix.zero(ring, n, k), Y))
+        cases.append((Matrix.zero(ring, n, m), random_matrix(ring, n, k, rng), Y))
+        if n == k:
+            cases.append((X, monomial_matrix(ring, n, rng), Y))
+            cases.append((X, monomial_matrix(ring, n, rng), monomial_matrix(ring, n, rng)))
+            cases.append((X, -Matrix.identity(ring, n), Y))
+    for r in (2, 3, 4):
+        X = random_matrix(ring, r, r, rng)
+        signs = [ring.one if a < r // 2 else -ring.one for a in range(r)]
+        antidiag = Matrix(ring, [
+            [signs[a] if b == r - 1 - a else ring.zero for b in range(r)] for a in range(r)
+        ])
+        cases.append((X, antidiag, X))
+        cases.append((X, ring.random_unit(rng) * antidiag, X))
+    return cases
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=repr)
+def test_form_equals_the_general_product(ring):
+    rng = random.Random(11)
+    for X, G, Y in form_cases(ring, rng):
+        expected = X.transpose() * G * Y
+        full = _form(X, G, Y)
+        assert Matrix._from_data(ring, full, Y.ncols) == expected
+        upper = _form(X, G, Y, upper=True)
+        for i in range(X.ncols):
+            for j in range(Y.ncols):
+                if i <= j:
+                    assert upper[i][j] == expected._raw[i][j]
+                else:
+                    assert upper[i][j] == ring.zero.data
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=repr)
+def test_scaling_equals_the_entrywise_product(ring):
+    rng = random.Random(13)
+    scalars = [ring.zero, ring.one, -ring.one, ring.pi()] + [
+        ring.random_element(rng) for _ in range(4)
+    ]
+    for a in (
+        random_matrix(ring, 3, 2, rng),
+        monomial_matrix(ring, 3, rng),
+        Matrix.zero(ring, 2, 3),
+        Matrix.identity(ring, 4),
+    ):
+        for c in scalars:
+            expected = tuple(tuple(x * c for x in row) for row in a.rows)
+            assert (c * a).rows == expected and (a * c).rows == expected
+        for c in (0, 1, -1, 2):
+            c_elem = ring.from_int(c)
+            assert (c * a).rows == tuple(tuple(x * c_elem for x in row) for row in a.rows)

@@ -18,7 +18,7 @@ from flab.errors import (
     SymmetryViolation,
 )
 from flab.linalg import Matrix
-from flab.modules import FLBlock, FLModule, validate
+from flab.modules import FLBlock, FLModule, divided, validate
 from flab.pairing import (
     LData,
     PairedFLModule,
@@ -96,6 +96,57 @@ def test_phi_incompatible():
         validate_pairing(PairedFLModule(module, base.L, base.gram))
 
 
+def _phi_equation_fails(paired):
+    # the full-matrix Φ-compatibility equation of each block, in block order,
+    # through the general product
+    module = paired.module
+    L = paired.L
+    for tau, blk in enumerate(module.blocks):
+        stau = (tau + 1) % module.witt_degree
+        w = blk.weights
+        lhs = blk.phi.transpose() * paired.gram[stau] * blk.phi
+        if lhs != L.c[tau] * divided(paired.gram[tau], [L.s[tau] - x for x in w], w):
+            return f"PhiIncompatible block {tau}"
+    return None
+
+
+def _with_phi_entry(paired, tau, u, a, delta):
+    blocks = list(paired.module.blocks)
+    rows = [list(row) for row in blocks[tau].phi.rows]
+    rows[u][a] = rows[u][a] + delta
+    blocks[tau] = FLBlock(blocks[tau].weights, Matrix(paired.module.ring, rows))
+    module = FLModule(paired.module.ring, paired.module.bounds, blocks)
+    return PairedFLModule(module, paired.L, paired.gram)
+
+
+def test_phi_check_on_the_upper_triangle_decides_the_full_equation():
+    # one entry of one Φ_τ perturbed at every position, on, above and below
+    # the diagonal: the check raises exactly when the full equation fails
+    rng = random.Random(89)
+    rings = [
+        make_field(5),
+        make_field(25),
+        make_ring("witt", 5, 1, 2),
+        make_ring("dual_numbers", 5, 2, 2),
+    ]
+    for ring in rings:
+        deltas = [ring.one, ring.from_int(2)] + ([ring.pi()] if ring.level > 1 else [])
+        for epsilon, rank in [(-1, 2), (-1, 4), (1, 2), (1, 3)]:
+            for scramble in (True, False):
+                paired = random_paired_module(
+                    rng, ring, rank, epsilon, witt_degree=ring.f, scramble=scramble
+                )
+                assert _phi_equation_fails(paired) is None
+                validate_pairing(paired)
+                for tau in range(ring.f):
+                    for u in range(rank):
+                        for a in range(rank):
+                            for delta in deltas:
+                                bad = _with_phi_entry(paired, tau, u, a, delta)
+                                expected = _phi_equation_fails(bad)
+                                assert _outcome(lambda: validate_pairing(bad)) == expected
+
+
 def test_ldata_validation():
     ring = make_field(5)
     with pytest.raises(InvalidInput):
@@ -138,6 +189,17 @@ def test_standard_gram_shapes():
     assert alt.transpose() == -1 * alt
     with pytest.raises(OddRankSymplectic):
         standard_gram(ring, 3, -1)
+
+
+def test_standard_gram_is_cached_per_key():
+    assert standard_gram(make_field(5), 4, -1) is standard_gram(make_field(5), 4, -1)
+    ring = make_ring("witt", 5, 1, 2)
+    assert standard_gram(ring, 3, 1) is standard_gram(make_ring("witt", 5, 1, 2), 3, 1)
+    assert standard_gram(ring, 2, 1) != standard_gram(ring, 2, -1)
+    # errors are not cached: each call raises again
+    for _ in range(2):
+        with pytest.raises(OddRankSymplectic, match="^rank 3 is odd$"):
+            standard_gram(ring, 3, -1)
 
 
 def test_sign_function():

@@ -15,6 +15,7 @@ from flab.rings import (
     PRIME_TRIAL_BOUND,
     _encoding_order,
     _prime_factors,
+    _split_prime_power,
     make_field,
     make_ring,
     make_small_surjection,
@@ -152,6 +153,26 @@ def test_prime_factors_stop_at_the_trial_bound():
     # a huge cofactor after the small primes are divided out also stops
     with pytest.raises(InvalidInput, match="trial-division bound"):
         _prime_factors(2**10 * 3 * n)
+
+
+def test_one_trial_division_serves_both_callers_lazily():
+    mersenne = 2**61 - 1  # prime, with no factor up to the trial bound
+    message = (
+        f"^{mersenne} has no prime factor up to the trial-division bound "
+        f"{PRIME_TRIAL_BOUND}$"
+    )
+    # the prime-power split stops at the smallest prime factor 3 ...
+    assert _split_prime_power(3 * mersenne) is None
+    # ... while the factorization divides on and stops at the cofactor
+    with pytest.raises(InvalidInput, match=message):
+        _prime_factors(3 * mersenne)
+    with pytest.raises(InvalidInput, match=message):
+        _split_prime_power(mersenne)
+    # a prime cofactor below the square of the bound is found
+    assert _prime_factors(9 * (2**31 - 1)) == [3, 2**31 - 1]
+    assert _split_prime_power(9 * (2**31 - 1)) is None
+    assert _split_prime_power(3**7) == (3, 7)
+    assert _split_prime_power(2**31 - 1) == (2**31 - 1, 1)
 
 
 def test_primes_up_to_the_square_of_the_bound_are_accepted():
