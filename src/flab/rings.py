@@ -24,11 +24,14 @@ above MAX_LEVEL are refused before a ring is built.  Arithmetic per family:
   mod p^level on the single coefficient, with no per-coefficient loop; the
   data stays a 1-tuple, the layout io and the callers of ``x.data`` read.
   Units invert by ``pow(a, -1, p^level)``.
-* F_q with f > 1 and q <= LOG_TABLE_MAX_Q: multiplication and inversion
-  through discrete-log / antilog tables over a generator of F_q^*, so a
-  product is two dict lookups and a list index.  The tables are built on the
-  first multiplication, once per interned ring.  Building them costs q
-  convolution products and O(q) memory, which only a field that multiplies
+* F_q with f > 1 and q <= LOG_TABLE_MAX_Q: +, -, x and inversion by
+  table, through discrete-log / antilog tables over a generator g of F_q^*
+  and a Zech table zech[d] = log(1 + g^d).  A product is two dict lookups
+  and a list index; a sum a + b is exp[log a + zech[(log b - log a) mod n]]
+  with n = q - 1, and a - b adds -b, whose log is log b + h with
+  h = log(-1) (n/2 for odd p, 0 for p = 2).  The tables are built on the
+  first arithmetic operation, once per interned ring.  Building them costs q
+  convolution products and O(q) memory, which only a field that computes
   far more often than that pays back; the cap keeps them to the small fields
   of the eliminations and leaves the ambient fields of up to about 10^6
   elements that flab.gf searches on convolution.
@@ -207,12 +210,16 @@ def minimal_polynomial(p, f):
     raise InternalRankFailure("no irreducible polynomial found")
 
 
+@lru_cache(maxsize=256)
 def _split_prime_power(n):
     """(p, e) with n == p**e and p prime, or None when n is no prime power.
 
     Only the smallest prime factor is needed, so trial division stops at
     the first one found; an n with no prime factor up to PRIME_TRIAL_BOUND
-    but above its square raises InvalidInput (see _trial_factors).
+    but above its square raises InvalidInput (see _trial_factors).  Every
+    make_field and gf.prime_power call asks again for one of a few q, so the
+    split is memoized; lru_cache stores no exception, so an InvalidInput is
+    raised anew on every call.
     """
     if n < 2:
         return None
@@ -439,15 +446,10 @@ class Ring:
         if not self.is_unit(u):
             raise InvalidInput("unit_sqrt requires a unit")
         kfield = self.residue_ring()
-        ubar = self.residue(u)
-        root = None
-        for cand in kfield.elements():
-            if cand * cand == ubar:
-                root = cand
-                break
+        root = _field_sqrt(kfield, self._residue_data(u.data))
         if root is None:
             raise InvalidInput("residue is not a square")
-        s = self.lift_from(root)
+        s = RingElem(self, self._lift_data(kfield, root))
         for _ in range(self.level.bit_length() + 2):
             if s * s == u:
                 return s
@@ -475,7 +477,7 @@ class Ring:
 
 
 class WittRing(Ring):
-    __slots__ = ("_modulus", "_frob_cols", "_tables")
+    __slots__ = ("_modulus", "_frob_cols", "_tables", "_zech")
 
     family = "witt"
 
@@ -489,6 +491,8 @@ class WittRing(Ring):
         # None: log tables due on first use; False: multiply by convolution
         tabled = level == 1 and f > 1 and p**f <= LOG_TABLE_MAX_Q
         self._tables = None if tabled else False
+        # (zech, n, h), built with the log tables (see _field_tables)
+        self._zech = None
         self._zero = RingElem(self, (0,) * f)
         one = (1,) + (0,) * (f - 1)
         self._one = RingElem(self, one)
@@ -505,15 +509,41 @@ class WittRing(Ring):
             raise InvalidInput(f"malformed witt element data {data!r}")
 
     def _add(self, a, b):
-        m = self._modulus
         if self.f == 1:
-            return ((a[0] + b[0]) % m,)
+            return ((a[0] + b[0]) % self._modulus,)
+        tables = self._tables
+        if tables is None:
+            tables = self._field_tables()
+        if tables:
+            log, exp = tables
+            zech, n, _ = self._zech
+            la = log[a]
+            lb = log[b]
+            if la == 2 * n:
+                return b
+            if lb == 2 * n:
+                return a
+            return exp[la + zech[(lb - la) % n]]
+        m = self._modulus
         return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def _sub(self, a, b):
-        m = self._modulus
         if self.f == 1:
-            return ((a[0] - b[0]) % m,)
+            return ((a[0] - b[0]) % self._modulus,)
+        tables = self._tables
+        if tables is None:
+            tables = self._field_tables()
+        if tables:
+            log, exp = tables
+            zech, n, h = self._zech
+            la = log[a]
+            lb = log[b]
+            if lb == 2 * n:
+                return a
+            if la == 2 * n:
+                return exp[lb + h]
+            return exp[la + zech[(lb + h - la) % n]]
+        m = self._modulus
         return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def _mul(self, a, b):
@@ -550,10 +580,19 @@ class WittRing(Ring):
     def _field_tables(self):
         """(log, exp) for a tabled field, built on first use; else False.
 
+        A tabled field does +, - and x by table lookups.  With n = q - 1,
         log maps each element to its discrete log base a generator g of
-        F_q^*, and zero to 2(q-1).  exp holds g^0 .. g^(2q-3) followed by
+        F_q^*, and zero to 2n.  exp holds g^0 .. g^(2n-1) followed by
         zeros, so exp[log[a] + log[b]] is a*b with no reduction and any
         product with zero lands on zero.
+
+        The same call builds the Zech table kept in _zech as (zech, n, h):
+        zech[d] = log(1 + g^d) for 0 <= d < n, and 2n where 1 + g^d = 0, so
+        a + b = g^la (1 + g^(lb-la)) is exp[la + zech[(lb - la) mod n]] for
+        nonzero a, b, and a sum that vanishes lands on the zeros of exp.
+        h = log(-1), n/2 for odd p and 0 for p = 2, so -b has log lb + h and
+        a - b is exp[la + zech[(lb + h - la) mod n]].  _add and _sub answer
+        a zero operand (log 2n) with the other operand or its negation.
         """
         if self._tables is None:
             n = self.residue_size - 1
@@ -564,6 +603,9 @@ class WittRing(Ring):
                 powers.append(self._conv_mul(g, powers[-1]))
             log = {x: i for i, x in enumerate(powers)}
             log[zero] = 2 * n
+            p = self.p
+            zech = [log[((x[0] + 1) % p,) + x[1:]] for x in powers]
+            self._zech = (zech, n, log[self.from_int(-1).data])
             self._tables = (log, powers * 2 + [zero] * (2 * n + 1))
         return self._tables
 
@@ -762,14 +804,19 @@ class DualNumbersRing(Ring):
 
     def _mul(self, a, b):
         k = self._kring
+        kzero = k._zero.data
         n = self.level
-        out = [k.zero.data] * n
+        # a coefficient still holding the zero object takes its first
+        # product as it is; only later products are added
+        out = [kzero] * n
         for i, ai in enumerate(a):
-            if any(ai):
+            if ai != kzero:
                 for j in range(n - i):
                     bj = b[j]
-                    if any(bj):
-                        out[i + j] = k._add(out[i + j], k._mul(ai, bj))
+                    if bj != kzero:
+                        prod = k._mul(ai, bj)
+                        c = out[i + j]
+                        out[i + j] = prod if c is kzero else k._add(c, prod)
         return tuple(out)
 
     def _all_data(self):
@@ -864,6 +911,58 @@ class DualNumbersRing(Ring):
 
     def teichmuller(self, x):
         raise InvalidInput("teichmuller requires the witt family")
+
+
+# ---------------------------------------------------------------------------
+# square roots in the residue field
+
+
+def _power(k, x, e):
+    """x^e for raw data x of the ring k, by square and multiply."""
+    result = k._one.data
+    while e:
+        if e & 1:
+            result = k._mul(result, x)
+        x = k._mul(x, x)
+        e >>= 1
+    return result
+
+
+def _field_sqrt(k, a):
+    """The square root of smallest encoding of the nonzero data a of the
+    finite field k, or None when a is no square; O(log q) multiplications.
+
+    For odd q this is Tonelli-Shanks with q - 1 = 2^s t, t odd, and the
+    non-residue of smallest encoding, found by Euler's criterion; of the two
+    roots +-r the one with the smaller encoding is returned.  For even q
+    the square root a^(q/2) is unique.
+    """
+    q = k.residue_size
+    if q % 2 == 0:
+        return _power(k, a, q // 2)
+    one = k._one.data
+    half = (q - 1) // 2
+    if _power(k, a, half) != one:
+        return None
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    zero = k._zero.data
+    z = next(x for x in k._all_data() if x != zero and _power(k, x, half) != one)
+    c, b, r = _power(k, z, t), _power(k, a, t), _power(k, a, (t + 1) // 2)
+    # invariants: r^2 = a b, b has order dividing 2^(s-1), c has order 2^s
+    while b != one:
+        i, sq = 0, b
+        while sq != one:
+            sq = k._mul(sq, sq)
+            i += 1
+        for _ in range(s - i - 1):
+            c = k._mul(c, c)
+        r = k._mul(r, c)
+        c = k._mul(c, c)
+        b = k._mul(b, c)
+        s = i
+    return min(r, k._sub(zero, r), key=k._encode)
 
 
 # ---------------------------------------------------------------------------

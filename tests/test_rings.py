@@ -175,6 +175,19 @@ def test_one_trial_division_serves_both_callers_lazily():
     assert _split_prime_power(2**31 - 1) == (2**31 - 1, 1)
 
 
+def test_prime_power_split_is_memoized_but_its_errors_are_not():
+    _split_prime_power.cache_clear()
+    assert _split_prime_power(3**7) == (3, 7)
+    assert _split_prime_power(3**7) == (3, 7)
+    info = _split_prime_power.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # an InvalidInput is raised again, in full, on every call
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match=HUGE_PRIME_VERDICT):
+            _split_prime_power(HUGE_PRIME)
+    assert _split_prime_power.cache_info().currsize == 1
+
+
 def test_primes_up_to_the_square_of_the_bound_are_accepted():
     # the largest prime below 2^40 passes, and neither the minimal polynomial
     # nor the generator search holds range(p) in memory
@@ -275,6 +288,42 @@ def test_log_tables_match_convolution():
                 assert ring._mul(a, b) == ring._conv_mul(a, b), (q, a, b)
 
 
+def test_zech_add_and_sub_match_the_coefficientwise_formula():
+    # all pairs, zero included, of every tabled field of the workloads and of
+    # F_4, F_8, F_16, where -1 = 1
+    for q in TABLED_Q + (4, 8, 16):
+        ring = make_field(q)
+        p = ring.p
+        assert ring._field_tables()
+        data = list(ring._all_data())
+        for a in data:
+            for b in data:
+                assert ring._add(a, b) == tuple((x + y) % p for x, y in zip(a, b)), (q, a, b)
+                assert ring._sub(a, b) == tuple((x - y) % p for x, y in zip(a, b)), (q, a, b)
+
+
+def test_dual_numbers_mul_is_the_truncated_convolution():
+    # against the convolution mod t^n, with the residue-field products by
+    # convolution and the sums entrywise mod p, both tabulated once
+    for ring in (D9_2, make_ring("dual_numbers", 5, 2, 2), make_ring("dual_numbers", 3, 1, 3)):
+        k = ring.residue_ring()
+        kdata = list(k._all_data())
+        prod = {(x, y): k._conv_mul(x, y) for x in kdata for y in kdata}
+        add = {
+            (x, y): tuple((u + v) % k.p for u, v in zip(x, y)) for x in kdata for y in kdata
+        }
+        data = list(ring._all_data())
+        for a in data:
+            for b in data:
+                expected = []
+                for m in range(ring.level):
+                    c = prod[a[0], b[m]]
+                    for i in range(1, m + 1):
+                        c = add[c, prod[a[i], b[m - i]]]
+                    expected.append(c)
+                assert ring._mul(a, b) == tuple(expected), (ring, a, b)
+
+
 def test_log_table_cap_verdict():
     # only the verdict, at the edges of the cap (2^12 tabled, 3^8 not) and
     # well above it; no table is built here
@@ -298,6 +347,65 @@ def test_unit_sqrt_squares_back():
             u = ring.random_unit(rng) ** 2
             s = ring.unit_sqrt(u)
             assert s * s == u
+
+
+def _scan_unit_sqrt(ring, u):
+    """The former unit_sqrt, kept as the oracle: the residue root of
+    smallest encoding by scanning the residue field, then Newton."""
+    kfield = ring.residue_ring()
+    ubar = ring.residue(u)
+    root = next((c for c in kfield.elements() if c * c == ubar), None)
+    if root is None:
+        raise InvalidInput("residue is not a square")
+    s = ring.lift_from(root)
+    for _ in range(ring.level.bit_length() + 2):
+        if s * s == u:
+            return s
+        s = s - (s * s - u) / (2 * s)
+    return s
+
+
+def test_unit_sqrt_matches_the_scan_on_every_unit():
+    # every unit of every field with q <= 512, squares and non-squares: the
+    # scan's root, as the smallest-encoding root of each square, in one pass
+    for q in range(2, 513):
+        if _split_prime_power(q) is None:
+            continue
+        field = make_field(q)
+        roots = {}
+        for c in field.elements():
+            roots.setdefault(c * c, c)
+        for u in field.elements():
+            if not u:
+                continue
+            if u in roots:
+                assert field.unit_sqrt(u).data == roots[u].data, (q, u)
+            else:
+                with pytest.raises(InvalidInput, match="^residue is not a square$"):
+                    field.unit_sqrt(u)
+    # and on every unit of two level-3 rings, through the Newton lift
+    for ring in (make_ring("witt", 3, 2, 3), make_ring("dual_numbers", 5, 1, 3)):
+        for u in ring.elements():
+            if not ring.is_unit(u):
+                continue
+            try:
+                expected = _scan_unit_sqrt(ring, u)
+            except InvalidInput:
+                with pytest.raises(InvalidInput, match="^residue is not a square$"):
+                    ring.unit_sqrt(u)
+            else:
+                assert ring.unit_sqrt(u).data == expected.data, (ring, u)
+
+
+def test_unit_sqrt_in_a_large_untabled_field_is_fast():
+    # F_{3^20} has about 3.5e9 elements: the scan is never run at this size
+    ring = make_ring("witt", 3, 20, 1)
+    x = ring.elem(tuple(i % 3 for i in range(20)))
+    u = x * x
+    start = time.perf_counter()
+    s = ring.unit_sqrt(u)
+    assert time.perf_counter() - start < 1.0
+    assert s * s == u
 
 
 def test_unit_sqrt_rejects_nonsquares_and_nonunits():
