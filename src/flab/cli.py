@@ -112,6 +112,18 @@ def _load_validated(path):
     return obj
 
 
+def _load_paired(path):
+    """The paired module of a file, left for the library command to check.
+
+    A document without a pairing is validated before it is refused, so its
+    errors are those of _load_validated.
+    """
+    obj = document_to_object(load_path(path))
+    if not isinstance(obj, PairedFLModule):
+        validate(obj)
+    return _require_paired(obj)
+
+
 def _require_paired(obj):
     if not isinstance(obj, PairedFLModule):
         raise InvalidInput("this command needs a module file with a pairing block")
@@ -132,8 +144,8 @@ def _cmd_lift(args):
 
 
 def _cmd_tangent(args):
-    paired = _require_paired(_load_validated(args.path))
-    report = tangent_report(paired)
+    # delta_space validates the module, then the pairing
+    report = tangent_report(_load_paired(args.path))
     _write(args, dumps_canonical(report.as_dict()))
     return 0
 
@@ -174,7 +186,9 @@ def _cmd_feasibility(args):
 
 
 def _cmd_normalize(args):
-    paired = _require_paired(_load_validated(args.path))
+    paired = _load_paired(args.path)
+    # normalize_standard validates the pairing
+    validate(paired.module)
     result = normalize_standard(paired)
     _write(args, dumps_canonical(object_to_document(result.pairing)))
     return 0

@@ -27,6 +27,8 @@ morphism spaces.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     BlockRankMismatch,
     InvalidInput,
@@ -38,6 +40,10 @@ from .errors import (
 )
 from .linalg import Matrix
 from .rings import Ring, SmallSurj
+
+# contains_isomorphism tries every combination up to scalars when the residue
+# field size to the number of basis elements is at most this
+ISOMORPHISM_SEARCH_BOUND = 4096
 
 
 class FLBlock:
@@ -439,10 +445,16 @@ def hom_mf(domain, codomain):
 
 
 def contains_isomorphism(space):
-    """Whether some k-combination of the basis is invertible in every block.
+    """Whether some R-combination of the basis is invertible in every block.
 
-    Searches basis elements first, then random combinations; exact because a
-    found witness is checked by is_morphism and inversion.
+    A combination of morphisms is a morphism, so a witness needs only
+    is_invertible.  Invertibility is decided on the residue field k
+    (Nakayama's lemma), where the R-combinations reduce to the
+    k-combinations of the reduced basis.  When |k|^n, for n basis elements,
+    is at most ISOMORPHISM_SEARCH_BOUND, one k-combination per line (first
+    nonzero coefficient 1) is tried, so both answers are exact.  Above the
+    bound the basis elements and then 200 seeded random R-combinations are
+    tried: True is exact, False is one-sided.
     """
     import random as _random
 
@@ -450,20 +462,37 @@ def contains_isomorphism(space):
     if domain.rank != codomain.rank:
         return False
     ring = domain.ring
+    fprime = domain.witt_degree
 
     def invertible(maps):
         return all(m.is_invertible() for m in maps)
 
+    def combination(over, coeffs, basis):
+        acc = [Matrix.zero(over, codomain.rank, domain.rank) for _ in range(fprime)]
+        for c, maps in zip(coeffs, basis):
+            if c:
+                acc = [a + c * m for a, m in zip(acc, maps)]
+        return acc
+
+    n = len(space.basis)
+    kfield = ring.residue_ring()
+    if kfield.size**n <= ISOMORPHISM_SEARCH_BOUND:
+        reduced = [
+            [m._map_data(ring._residue_data, kfield) for m in maps] for maps in space.basis
+        ]
+        elems = list(kfield.elements())
+        lines = (
+            (kfield.zero,) * lead + (kfield.one,) + tail
+            for lead in range(n)
+            for tail in itertools.product(elems, repeat=n - lead - 1)
+        )
+        return any(invertible(combination(kfield, c, reduced)) for c in lines)
     for maps in space.basis:
         if invertible(maps):
             return True
     rng = _random.Random(0)
-    fprime = domain.witt_degree
     for _ in range(200):
-        combo = [Matrix.zero(ring, codomain.rank, domain.rank) for _ in range(fprime)]
-        for maps in space.basis:
-            c = ring.random_element(rng)
-            combo = [acc + c * m for acc, m in zip(combo, maps)]
-        if invertible(combo):
+        coeffs = [ring.random_element(rng) for _ in space.basis]
+        if invertible(combination(ring, coeffs, space.basis)):
             return True
     return False

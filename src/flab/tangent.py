@@ -18,6 +18,23 @@ coboundaries diag(α_τ) − Φ_τ^{-1} α_{στ} Φ_τ of Fil^0 elements, givin
 (the kernel of the coboundary map is exactly end_mf_pairing).
 deformation_count returns |k|^dim and can cross-check it against a direct
 orbit enumeration for small fields.
+
+delta_space builds only the independent Lie equations.  Once
+validate_pairing has passed, G_τ^T = ε G_τ, so M(A) = A^T G_τ + G_τ A
+satisfies M(A)^T = ε M(A): row (j, i) of the system is ε times row (i, j),
+and for ε = −1 the diagonal rows vanish.  Rows (i, j) are built for i <= j
+when ε = +1 and for i < j when ε = −1, in row-major order.  The kernel is
+unchanged.  Over a field kernel_gens returns the reduced-echelon null basis,
+which depends only on the row span.  Over W/p^n and k[t]/t^n a dropped row
+is an exact ±copy of an earlier kept row: the sweep scans rows in order, so
+the copy never pivots before its twin, row and column operations keep it a
+copy, and it is zero once its twin pivots; zero rows are never touched.
+
+fil0_subspace and end_mf_pairing read each input element once into a flat
+raw vector (blocks concatenated, each row-major).  Their system rows are
+coordinate picks and the residues (A_{στ} Φ_τ)[i][a] − Φ_τ[i][a] A_τ[a][a],
+formed on raw data skipping zeros, and each output element is one raw
+combination (_combine) wrapped into blocks once.
 """
 
 from __future__ import annotations
@@ -55,37 +72,78 @@ class TangentReport:
         return f"TangentReport({self.as_dict()})"
 
 
-def _zero_element(paired):
-    kring = paired.module.ring
-    return tuple(
-        Matrix.zero(kring, blk.rank, blk.rank) for blk in paired.module.blocks
-    )
+def _flat(elem):
+    """Raw entries of an element: its blocks concatenated, each row-major."""
+    return [x for m in elem for row in m._raw for x in row]
 
 
-def _combine(paired, basis, coeffs):
-    acc = _zero_element(paired)
-    for coeff, elem in zip(coeffs, basis):
-        if not coeff:
+def _starts(module):
+    """Where each block begins in a flat vector."""
+    starts = []
+    total = 0
+    for blk in module.blocks:
+        starts.append(total)
+        total += blk.rank * blk.rank
+    return starts
+
+
+def _combine(module, vecs, coeffs):
+    """The element Σ c_k v_k for flat raw vectors v_k and raw coefficients c_k.
+
+    Zero coefficients and zero entries are skipped, and each entry starts
+    at its first term.
+    """
+    ring = module.ring
+    add, mul = ring._add, ring._mul
+    zero, one = ring.zero.data, ring.one.data
+    out = [zero] * sum(blk.rank * blk.rank for blk in module.blocks)
+    for c, vec in zip(coeffs, vecs):
+        if c == zero:
             continue
-        acc = tuple(x + coeff * m for x, m in zip(acc, elem))
-    return acc
+        for pos, x in enumerate(vec):
+            if x != zero:
+                term = x if c == one else mul(c, x)
+                acc = out[pos]
+                out[pos] = term if acc is zero else add(acc, term)
+    blocks = []
+    for start, blk in zip(_starts(module), module.blocks):
+        r = blk.rank
+        rows = [out[start + u * r : start + (u + 1) * r] for u in range(r)]
+        blocks.append(Matrix._from_data(ring, rows, r))
+    return tuple(blocks)
+
+
+def _solve(module, vecs, rows):
+    """Combinations of vecs whose coefficients solve the raw system rows."""
+    system = Matrix._from_data(module.ring, rows, len(vecs))
+    return [
+        _combine(module, vecs, [c.data for c in combo])
+        for combo in system.kernel_gens()
+    ]
 
 
 def delta_space(paired):
-    """Basis of per-block matrices A with A^T G_τ + G_τ A = 0."""
+    """Basis of per-block matrices A with A^T G_τ + G_τ A = 0.
+
+    G_τ is ε-symmetric once validate_pairing has passed, so row (j, i) of
+    the system is ε times row (i, j) and only i <= j (i < j for ε = -1,
+    whose diagonal rows vanish) is built; see the module docstring.
+    """
     validate(paired.module)
     validate_pairing(paired)
     kring = paired.module.ring
-    fprime = paired.module.witt_degree
+    blocks = paired.module.blocks
+    zeros = [Matrix.zero(kring, blk.rank, blk.rank) for blk in blocks]
+    skip_diagonal = 1 if paired.L.epsilon == -1 else 0
     basis = []
     add = kring._add
     zero = kring.zero.data
-    for tau in range(fprime):
+    for tau in range(len(blocks)):
         G = paired.gram[tau]._raw
         r = len(G)
         rows = []
         for i in range(r):
-            for j in range(r):
+            for j in range(i + skip_diagonal, r):
                 row = [zero] * (r * r)
                 for u in range(r):
                     row[u * r + i] = add(row[u * r + i], G[u][j])
@@ -93,19 +151,10 @@ def delta_space(paired):
                 rows.append(row)
         system = Matrix._from_data(kring, rows, r * r)
         for vec in system.kernel_gens():
-            mats = []
-            for t2 in range(fprime):
-                rk = paired.module.blocks[t2].rank
-                if t2 == tau:
-                    mats.append(
-                        Matrix._from_data(
-                            kring,
-                            [[vec[u * r + a].data for a in range(r)] for u in range(r)],
-                            r,
-                        )
-                    )
-                else:
-                    mats.append(Matrix.zero(kring, rk, rk))
+            mats = list(zeros)
+            mats[tau] = Matrix._from_data(
+                kring, [[vec[u * r + a].data for a in range(r)] for u in range(r)], r
+            )
             basis.append(tuple(mats))
     return basis
 
@@ -113,23 +162,23 @@ def delta_space(paired):
 def fil0_subspace(paired, delta_basis):
     """Sub-basis of the span of delta_basis preserving the filtration."""
     check_multiplicity_free(paired.module)
-    kring = paired.module.ring
     module = paired.module
     delta_basis = list(delta_basis)
     if not delta_basis:
         return []
+    vecs = [_flat(elem) for elem in delta_basis]
     rows = []
-    for tau in range(module.witt_degree):
-        weights = module.blocks[tau].weights
-        r = module.blocks[tau].rank
+    for start, blk in zip(_starts(module), module.blocks):
+        weights = blk.weights
+        r = blk.rank
         for u in range(r):
             for a in range(r):
                 if weights[u] < weights[a]:
-                    rows.append([elem[tau][u, a] for elem in delta_basis])
+                    pos = start + u * r + a
+                    rows.append([vec[pos] for vec in vecs])
     if not rows:
         return delta_basis
-    system = Matrix(kring, rows, ncols=len(delta_basis))
-    return [_combine(paired, delta_basis, combo) for combo in system.kernel_gens()]
+    return _solve(module, vecs, rows)
 
 
 def end_mf_pairing(paired, fil0_basis=None):
@@ -145,20 +194,41 @@ def end_mf_pairing(paired, fil0_basis=None):
     fil0_basis = list(fil0_basis)
     if not fil0_basis:
         return []
-    kring = paired.module.ring
-    fprime = paired.module.witt_degree
+    module = paired.module
+    ring = module.ring
+    add, sub, mul = ring._add, ring._sub, ring._mul
+    zero = ring.zero.data
+    vecs = [_flat(elem) for elem in fil0_basis]
+    starts = _starts(module)
+    fprime = len(starts)
     rows = []
-    for tau, blk in enumerate(paired.module.blocks):
-        phi = blk.phi
-        r = phi.nrows
-        residues = [
-            elem[(tau + 1) % fprime] * phi
-            - phi * Matrix.diagonal(kring, [elem[tau][a, a] for a in range(r)])
-            for elem in fil0_basis
-        ]
-        rows.extend([res._raw[i][a] for res in residues] for i in range(r) for a in range(r))
-    system = Matrix._from_data(kring, rows, len(fil0_basis))
-    return [_combine(paired, fil0_basis, combo) for combo in system.kernel_gens()]
+    for tau, blk in enumerate(module.blocks):
+        phi = blk.phi._raw
+        r = len(phi)
+        phi_nonzero = [[(a, y) for a, y in enumerate(row) if y != zero] for row in phi]
+        here = starts[tau]
+        there = starts[(tau + 1) % fprime]
+        # residues[k][i * r + a] = (A_{στ} Φ_τ)[i][a] − Φ_τ[i][a] · A_τ[a][a]
+        residues = []
+        for vec in vecs:
+            res = [zero] * (r * r)
+            diag = [vec[here + a * r + a] for a in range(r)]
+            for i in range(r):
+                base = i * r
+                for u in range(r):
+                    x = vec[there + base + u]
+                    if x != zero:
+                        for a, y in phi_nonzero[u]:
+                            term = mul(x, y)
+                            acc = res[base + a]
+                            res[base + a] = term if acc is zero else add(acc, term)
+                for a, y in phi_nonzero[i]:
+                    d = diag[a]
+                    if d != zero:
+                        res[base + a] = sub(res[base + a], mul(y, d))
+            residues.append(res)
+        rows.extend([res[pos] for res in residues] for pos in range(r * r))
+    return _solve(module, vecs, rows)
 
 
 def _num_pos_roots(epsilon, rank):
@@ -196,31 +266,30 @@ def tangent_report(paired):
 
 def _enumerate_count(paired):
     norm = normalize_standard(paired).pairing
-    kring = norm.module.ring
+    module = norm.module
+    kring = module.ring
     delta = delta_space(norm)
     fil0 = fil0_subspace(norm, delta)
     if kring.size ** len(delta) > SIZE_GUARD:
         raise EnumerationTooLarge(
             f"{kring.size}^{len(delta)} delta values exceed {SIZE_GUARD}"
         )
-    elems = list(kring.elements())
+    elems = list(kring._all_data())
 
     def span(basis):
-        return {
-            _combine(norm, basis, coeffs)
-            for coeffs in itertools.product(elems, repeat=len(basis))
-        }
+        vecs = [_flat(elem) for elem in basis]
+        for coeffs in itertools.product(elems, repeat=len(basis)):
+            yield _combine(module, vecs, coeffs)
 
-    delta_set = span(delta)
-    fprime = norm.module.witt_degree
-    phis = [blk.phi for blk in norm.module.blocks]
+    delta_set = set(span(delta))
+    fprime = module.witt_degree
+    phis = [blk.phi for blk in module.blocks]
     inv = [
         phi.inverse(error=InternalRankFailure("singular Φ while enumerating"))
         for phi in phis
     ]
     image = set()
-    for coeffs in itertools.product(elems, repeat=len(fil0)):
-        alpha = _combine(norm, fil0, coeffs)
+    for alpha in span(fil0):
         cob = tuple(
             Matrix.diagonal(kring, [alpha[tau][a, a] for a in range(phis[tau].nrows)])
             - inv[tau] * alpha[(tau + 1) % fprime] * phis[tau]

@@ -308,3 +308,90 @@ def test_huge_q_with_embeddings_exits_1_quickly():
     assert proc.stderr.startswith("InvalidInput ")
     assert proc.stderr.endswith(" has no prime factor up to the trial-division bound 1048576\n")
     assert elapsed < 5, elapsed
+
+
+def _broken_inputs(tmp_path):
+    """The broken inputs of this file, plus broken pairings: name -> path."""
+    plain = module_to_dict(canon2())
+    paired = paired_to_dict(pcanon2())
+
+    def edited(doc, edit):
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        return doc
+
+    def singular(doc):
+        doc["blocks"][0]["phi"] = [[[1], [0]], [[1], [0]]]
+
+    docs = {
+        "plain_module": plain,
+        "singular_phi": edited(plain, singular),
+        "missing_key": edited(plain, lambda d: d.pop("rank")),
+        "huge_f": edited(plain, lambda d: d["ring"].update(f=10**6)),
+        "huge_level": edited(plain, lambda d: d["ring"].update(level=10**7)),
+        "huge_f_over_f2": edited(plain, lambda d: d["ring"].update(p=2, f=10**12)),
+        "paired_singular_phi": edited(paired, singular),
+        "paired_missing_key": edited(paired, lambda d: d["pairing"].pop("gram")),
+        "paired_huge_level": edited(paired, lambda d: d["ring"].update(level=10**7)),
+        "repeated_weights": edited(
+            paired,
+            lambda d: d.update(
+                bounds=[1, 1], blocks=[dict(d["blocks"][0], weights=[1, 1])]
+            )
+            or d["pairing"]["L"].update(s=[2]),
+        ),
+        "wrong_symmetry": edited(paired, lambda d: d["pairing"].update(epsilon=1)),
+        "wrong_twist": edited(paired, lambda d: d["pairing"]["L"].update(c=[[2]])),
+        "wide_gram": edited(paired, lambda d: d["pairing"]["L"].update(s=[0])),
+        "singular_gram": edited(
+            paired, lambda d: d["pairing"].update(gram=[[[[0], [0]], [[0], [0]]]])
+        ),
+    }
+    paths = {name: write_doc(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    text = dumps_canonical(paired)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(text[: len(text) // 2], encoding="utf-8")
+    paths["truncated_json"] = str(truncated)
+    paths["missing_file"] = str(tmp_path / "absent.json")
+    return paths
+
+
+# exit code and stderr of tangent and normalize on each broken input, the same
+# for both, recorded when both subcommands still validated the whole file
+# before the command ran (the temporary directory reads <tmp>); stdout was
+# empty every time
+BROKEN_INPUT_OUTCOMES = {
+    "plain_module": (1, "InvalidInput this command needs a module file with a pairing block\n"),
+    "singular_phi": (1, "SingularPhi block 0\n"),
+    "missing_key": (2, "KeyError 'rank'\n"),
+    "huge_f": (1, "InvalidInput f = 1000000 exceeds the bound 32\n"),
+    "huge_level": (1, "InvalidInput level = 10000000 exceeds the bound 256\n"),
+    "huge_f_over_f2": (1, "InvalidInput f = 1000000000000 exceeds the bound 32\n"),
+    "paired_singular_phi": (1, "SingularPhi block 0\n"),
+    "paired_missing_key": (2, "KeyError 'gram'\n"),
+    "paired_huge_level": (1, "InvalidInput level = 10000000 exceeds the bound 256\n"),
+    "repeated_weights": (1, "MultiplicityNotFree block 0 has repeated weights\n"),
+    "wrong_symmetry": (1, "SymmetryViolation block 0 entry (2, 1)\n"),
+    "wrong_twist": (1, "PhiIncompatible block 0\n"),
+    "wide_gram": (1, "FiltrationViolation block 0 entry (1, 2): weights 0+1 exceed s = 0\n"),
+    "singular_gram": (1, "NotPerfect block 0\n"),
+    "truncated_json": (
+        2,
+        "JSONDecodeError Unterminated string starting at: line 1 column 122 (char 121)\n",
+    ),
+    "missing_file": (
+        2,
+        "FileNotFoundError [Errno 2] No such file or directory: '<tmp>/absent.json'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["tangent", "normalize"])
+def test_broken_input_errors_are_unchanged(tmp_path, capsys, command):
+    outcomes = {}
+    for name, path in _broken_inputs(tmp_path).items():
+        code = main([command, path])
+        out, err = capsys.readouterr()
+        assert out == ""
+        outcomes[name] = (code, err.replace(str(tmp_path), "<tmp>"))
+    assert outcomes == BROKEN_INPUT_OUTCOMES

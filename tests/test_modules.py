@@ -303,6 +303,47 @@ def test_tensor_commutes_up_to_isomorphism():
         assert contains_isomorphism(space)
 
 
+def diagonal_module(ring, scalars):
+    """Weight-0 module with Φ = diag(scalars): Hom between two of them is
+    supported on the coordinates where the scalars agree."""
+    n = len(scalars)
+    return FLModule(ring, (0, 0), [FLBlock((0,) * n, Matrix.diagonal(ring, scalars))])
+
+
+def test_no_invertible_combination_is_an_exact_false():
+    F5 = make_field(5)
+    space = hom_mf(diagonal_module(F5, [1, 1, 2]), diagonal_module(F5, [1, 1, 3]))
+    # every morphism lives on the first two coordinates, so none is invertible
+    assert space.dimension == 4
+    assert not contains_isomorphism(space)
+
+
+def test_exact_search_finds_a_witness_no_basis_element_is():
+    for ring in (make_field(5), make_ring("witt", 5, 1, 2), make_ring("dual_numbers", 5, 1, 2)):
+        module = diagonal_module(ring, [1, 2, 3])
+        space = hom_mf(module, module)
+        assert 0 < len(space.basis) and ring.residue_size ** len(space.basis) <= 4096
+        assert not any(maps[0].is_invertible() for maps in space.basis)
+        assert contains_isomorphism(space)
+
+
+def test_exact_search_tries_one_combination_per_line(monkeypatch):
+    F5 = make_field(5)
+    space = hom_mf(diagonal_module(F5, [1, 1, 2]), diagonal_module(F5, [1, 1, 3]))
+    calls = []
+    original = Matrix.is_invertible
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "is_invertible", counted)
+    assert not contains_isomorphism(space)
+    # (5^4 - 1) / (5 - 1) lines through the origin of F_5^4, one block each
+    assert len(calls) == 156
+    assert len(set(calls)) == 156
+
+
 def test_operations_preserve_validity_randomized():
     rng = random.Random(73)
     for ring in sample_rings():

@@ -1,5 +1,6 @@
 """Tangent-space dimensions, the exact sequence, and the orbit-count oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from flab.errors import (
 from flab.feasibility import GroupType, root_data
 from flab.linalg import Matrix
 from flab.modules import FLBlock, FLModule
-from flab.pairing import LData, PairedFLModule, standard_gram
+from flab.pairing import LData, PairedFLModule, change_basis, standard_gram
 from flab.tangent import (
     deformation_count,
     delta_space,
@@ -22,7 +23,7 @@ from flab.tangent import (
     tangent_report,
 )
 from flab.rings import make_field, make_ring
-from flab.testing import random_paired_module
+from flab.testing import random_paired_module, random_weight_adapted, self_dual_weights
 
 
 def _flatten(elem):
@@ -190,3 +191,86 @@ def test_tangent_preconditions():
     wide = _simple_paired(k, (0, 2), [[1, 0], [0, 1]], -1, 2)
     with pytest.raises(RangeViolation):
         tangent_report(wide)
+
+
+# sha256 of the delta, Fil^0 and End bases of _basis_cases(), recorded when
+# delta_space still built all r^2 Lie equations and fil0_subspace and
+# end_mf_pairing still formed their systems with matrix products
+FROZEN_BASES_SHA256 = "afefbb45cf69af4f04d6174031191744a7501eab767def20af1806a8eba18719"
+
+BASIS_RINGS = [make_field(q) for q in (5, 7, 11, 13, 25, 49)] + [
+    make_ring("witt", 5, 1, 2),
+    make_ring("witt", 3, 2, 2),
+    make_ring("dual_numbers", 5, 1, 2),
+    make_ring("dual_numbers", 3, 2, 2),
+]
+BASIS_SHAPES = [(2, -1), (2, 1), (3, 1), (4, -1), (4, 1)]
+
+
+def _near_identity_paired(rng, ring, rank, epsilon, witt_degree):
+    """Pairing over a level-2 ring with Φ_τ = 1 + π N_τ, N_τ in the Lie
+    algebra of the standard form S, scrambled by a weight-adapted change of
+    basis.  Its End system mixes unit and non-unit entries, so the kernel
+    sweep meets non-unit pivots and its generators depend on the row order.
+    """
+    k = ring.residue_ring()
+    s = rank - 1 if epsilon == -1 else rank
+    weights = self_dual_weights(rng, rank, s, 0)
+    std = standard_gram(k, rank, epsilon)
+    blocks = []
+    for _ in range(witt_degree):
+        # N = ε S X with X^T = −ε X solves N^T S + S N = 0
+        X = [[k.zero] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                x = k.random_element(rng)
+                if i == j and epsilon == 1:
+                    continue
+                X[i][j] = x
+                X[j][i] = -epsilon * x
+        N = epsilon * (std * Matrix(k, X))
+        lifted = Matrix(ring, [[ring.lift_from(x) for x in row] for row in N.rows])
+        blocks.append(FLBlock(weights, Matrix.identity(ring, rank) + ring.pi() * lifted))
+    module = FLModule(ring, (min(weights), max(weights)), blocks)
+    paired = PairedFLModule(
+        module,
+        LData(epsilon, (s,) * witt_degree, (ring.one,) * witt_degree),
+        (standard_gram(ring, rank, epsilon),) * witt_degree,
+    )
+    return change_basis(
+        paired, [random_weight_adapted(ring, weights, rng) for _ in range(witt_degree)]
+    )
+
+
+def _basis_cases():
+    rng = random.Random(2024)
+    for ring in BASIS_RINGS:
+        for rank, eps in BASIS_SHAPES:
+            for fprime in (1, 2) if ring.f == 2 else (1,):
+                yield random_paired_module(rng, ring, rank, eps, witt_degree=fprime)
+    for ring in BASIS_RINGS[6:]:
+        for rank, eps in ((2, -1), (4, -1), (4, 1)):
+            for fprime in (1, 2) if ring.f == 2 else (1,):
+                for _ in range(3):
+                    yield _near_identity_paired(rng, ring, rank, eps, fprime)
+
+
+def _bases_digest():
+    """Digest of the canonical encodings of every basis entry, case by case."""
+    digest = hashlib.sha256()
+    for paired in _basis_cases():
+        ring = paired.module.ring
+        delta = delta_space(paired)
+        fil0 = fil0_subspace(paired, delta)
+        end = end_mf_pairing(paired, fil0)
+        for basis in (delta, fil0, end):
+            encoded = [
+                [[ring.encode(x) for x in m.entries()] for m in elem] for elem in basis
+            ]
+            digest.update(repr(encoded).encode())
+            digest.update(b"|")
+    return digest.hexdigest()
+
+
+def test_tangent_bases_are_frozen():
+    assert _bases_digest() == FROZEN_BASES_SHA256
