@@ -1,7 +1,7 @@
 """Numeric hypothesis checks for the global lifting method.
 
 Root-datum bookkeeping for the similitude groups GSp_m and GO_m (positive
-roots enumerated directly from the Cartan type, with the similitude torus
+roots counted in closed form from the Cartan type, with the similitude torus
 adding one to the semisimple rank), plus the arithmetic screens: very-good
 primes, the oddness balance over the real places, the two prime lower
 bounds, and the weight hypotheses for the local condition.
@@ -60,7 +60,7 @@ class GroupType:
 
 
 class RootData:
-    """Dimensions and invariants read off the positive-root enumeration."""
+    """Dimensions and invariants read off the positive-root count."""
 
     __slots__ = (
         "dim_g",
@@ -82,35 +82,12 @@ class RootData:
         return f"RootData({self.as_dict()})"
 
 
-def positive_roots(kind, n):
-    """Positive roots of B_n / C_n / D_n as coordinate tuples."""
-    if kind not in ("B", "C", "D") or n < 0:
-        raise InvalidGroup(f"unknown Cartan type {kind}_{n}")
-    roots = []
-
-    def vec(entries):
-        v = [0] * n
-        for idx, val in entries:
-            v[idx] += val
-        return tuple(v)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            roots.append(vec([(i, 1), (j, -1)]))
-            roots.append(vec([(i, 1), (j, 1)]))
-    if kind == "B":
-        roots.extend(vec([(i, 1)]) for i in range(n))
-    elif kind == "C":
-        roots.extend(vec([(i, 2)]) for i in range(n))
-    return roots
-
-
 def root_data(g):
-    """Root datum of the similitude group: torus rank n + 1, Coxeter number
-    2n (B, C) or 2n − 2 (D), center order of the derived group 2 (Sp and
-    even SO) or 1 (odd SO)."""
+    """Root datum of the similitude group: n² positive roots for B_n and C_n,
+    n(n − 1) for D_n, torus rank n + 1, Coxeter number 2n (B, C) or 2n − 2
+    (D), center order of the derived group 2 (Sp and even SO) or 1 (odd SO)."""
     kind, n = g.cartan_type()
-    num = len(positive_roots(kind, n))
+    num = n * n if kind in ("B", "C") else n * (n - 1)
     rank_t = n + 1
     coxeter = 2 * n if kind in ("B", "C") else 2 * n - 2
     center = 1 if kind == "B" else 2

@@ -201,7 +201,7 @@ class Matrix:
             ring = self.ring
             add, mul = ring._add, ring._mul
             zero = ring.zero.data
-            bcols = [[row[j] for row in other._raw] for j in range(other.ncols)]
+            bcols = list(zip(*other._raw)) if other.nrows else [()] * other.ncols
             out = []
             for row in self._raw:
                 nonzero = [(k, a) for k, a in enumerate(row) if a != zero]

@@ -276,7 +276,8 @@ def dual(module, L):
 
     Block τ gets weights {s_τ - w : w ∈ weights_τ}, and on the
     ascending-sorted dual basis Φ^∨_τ = J (c_τ (Φ_τ^{-1})^T) J with J the
-    index reversal.  Output bounds are tight.
+    index reversal, read off by index: for rank r,
+    (Φ^∨_τ)[i][j] = c_τ · (Φ_τ^{-1})[r-1-j][r-1-i].  Output bounds are tight.
     """
     ring = module.ring
     fprime = module.witt_degree
@@ -286,10 +287,10 @@ def dual(module, L):
     seen = []
     for tau in range(fprime):
         blk = module.blocks[tau]
-        r = blk.rank
-        rev = Matrix.permutation(ring, tuple(range(r - 1, -1, -1)))
-        inv = blk.phi.inverse(error=SingularPhi(f"block {tau}"))
-        phi_dual = rev * (inv.transpose() * L.c[tau]) * rev
+        inv = blk.phi.inverse(error=SingularPhi(f"block {tau}"))._raw
+        # row i of J inv^T J is column r-1-i of inv, read bottom to top
+        rows = [[row[k] for row in reversed(inv)] for k in reversed(range(blk.rank))]
+        phi_dual = Matrix._from_data(ring, rows, blk.rank)._scaled(L.c[tau])
         weights = tuple(L.s[tau] - w for w in reversed(blk.weights))
         seen.extend(weights)
         blocks.append(FLBlock(weights, phi_dual))
@@ -413,6 +414,7 @@ def hom_mf(domain, codomain):
                     unknowns.append((tau, u, a))
     add, sub, mul = ring._add, ring._sub, ring._mul
     zero = ring.zero.data
+    scales = {}
     rows = []
     for tau in range(fprime):
         stau = (tau + 1) % fprime
@@ -430,7 +432,10 @@ def hom_mf(domain, codomain):
                 for u in range(rN):
                     pos = index.get((tau, u, a))
                     if pos is not None:
-                        c = mul(phiN[v][u], ring.pi_pow(wN[u] - wM[a]).data)
+                        gap = wN[u] - wM[a]
+                        if gap not in scales:
+                            scales[gap] = ring.pi_pow(gap).data
+                        c = mul(phiN[v][u], scales[gap])
                         if c != zero:
                             coeffs[pos] = sub(coeffs[pos], c)
                 rows.append(coeffs)

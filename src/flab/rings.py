@@ -559,23 +559,29 @@ class WittRing(Ring):
         return self._conv_mul(a, b)
 
     def _conv_mul(self, a, b):
-        """Product by convolution and reduction mod the minimal polynomial."""
+        """Product by convolution and reduction mod the minimal polynomial;
+        each coefficient is reduced mod p^level once, and f = 2 is written
+        out: x^2 = -mp[1] x - mp[0]."""
         m = self._modulus
         f = self.f
+        mp = self.minimal_poly
+        if f == 2:
+            a0, a1 = a
+            b0, b1 = b
+            c = a1 * b1
+            return ((a0 * b0 - c * mp[0]) % m, (a0 * b1 + a1 * b0 - c * mp[1]) % m)
         conv = [0] * (2 * f - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % m
-        mp = self.minimal_poly
+                    conv[i + j] += ai * bj
         for d in range(2 * f - 2, f - 1, -1):
-            c = conv[d]
+            c = conv[d] % m
             if c:
-                conv[d] = 0
                 off = d - f
                 for i in range(f):
-                    conv[off + i] = (conv[off + i] - c * mp[i]) % m
-        return tuple(conv[:f])
+                    conv[off + i] -= c * mp[i]
+        return tuple([x % m for x in conv[:f]])
 
     def _field_tables(self):
         """(log, exp) for a tabled field, built on first use; else False.

@@ -178,14 +178,15 @@ def _build_cyclic(ring, weights, twist):
     """Cyclic module on a weight-sorted basis; the e_0 column scaled by twist."""
     h = len(weights)
     pos = _positions(weights)
-    rows = [[ring.zero] * h for _ in range(h)]
+    one = ring.one.data
+    rows = [[ring.zero.data] * h for _ in range(h)]
     for n in range(h):
-        rows[pos[(n - 1) % h]][pos[n]] = twist if n == 0 else ring.one
+        rows[pos[(n - 1) % h]][pos[n]] = twist.data if n == 0 else one
     sorted_weights = tuple(sorted(weights))
     module = FLModule(
         ring,
         (min(weights), max(weights)),
-        [FLBlock(sorted_weights, Matrix(ring, rows, ncols=h))],
+        [FLBlock(sorted_weights, Matrix._from_data(ring, rows, h))],
     )
     validate(module)
     return module
@@ -252,15 +253,15 @@ def summand_embedding(a, b, s, j, q, parts=None):
     pos_b = _positions(b.i)
     pos_src = _positions(summand.spec.i)
     hs = summand.period
-    rows = [[ring.zero] * hs for _ in range(target.rank)]
-    coeff = ring.one
+    rows = [[ring.zero.data] * hs for _ in range(target.rank)]
+    coeff = ring.one.data
     for m in range(summand.copies):
         for w in range(hs):
+            # r < lcm(h, h') is fixed by r mod h and r mod h', so each row is hit once
             r = w + m * hs
-            row = tpos[(pos_a[r % a.h], pos_b[(r + s) % b.h])]
-            rows[row][pos_src[w]] = rows[row][pos_src[w]] + coeff
-        coeff = coeff * twist
-    matrix = Matrix(ring, rows, ncols=hs)
+            rows[tpos[(pos_a[r % a.h], pos_b[(r + s) % b.h])]][pos_src[w]] = coeff
+        coeff = ring._mul(coeff, twist.data)
+    matrix = Matrix._from_data(ring, rows, hs)
     if not is_morphism([matrix], source, target):
         raise InternalRankFailure("summand embedding failed the morphism equations")
     if matrix.rank_field() != hs:

@@ -191,6 +191,21 @@ def test_feasibility_rejects_small_prime_with_wide_weights(capsys):
     assert doc["checks"]["fl_hypotheses"]["accept"] is False
 
 
+@pytest.mark.parametrize("m", [4000, 10**6])
+def test_feasibility_huge_group_fails_fast(m, capsys):
+    start = time.perf_counter()
+    code = main(
+        ["feasibility", "--group", "gsp", "--m", str(m), "--h0", "4", "--degree", "1",
+         "--p", "101"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    bound = (m // 2) ** 2
+    assert out.err == f"InvalidInput h0 = 4 is below the involution lower bound {bound}\n"
+
+
 def test_feasibility_bad_weights_json_exits_2(capsys):
     code = main(["feasibility", "--group", "gsp", "--m", "4", "--weights", "[[0,1"])
     assert code == 2

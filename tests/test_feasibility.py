@@ -18,9 +18,30 @@ from flab.feasibility import (
     check_prime_bounds,
     check_very_good,
     feasibility_report,
-    positive_roots,
     root_data,
 )
+
+
+def positive_roots(kind, n):
+    """Positive roots of B_n / C_n / D_n as coordinate tuples: e_i ± e_j for
+    i < j, plus e_i (B) or 2e_i (C)."""
+    roots = []
+
+    def vec(entries):
+        v = [0] * n
+        for idx, val in entries:
+            v[idx] += val
+        return tuple(v)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            roots.append(vec([(i, 1), (j, -1)]))
+            roots.append(vec([(i, 1), (j, 1)]))
+    if kind == "B":
+        roots.extend(vec([(i, 1)]) for i in range(n))
+    elif kind == "C":
+        roots.extend(vec([(i, 2)]) for i in range(n))
+    return roots
 
 
 def _primes(limit):
@@ -64,6 +85,14 @@ def test_root_data_identities_and_counts():
     for kind, n in (("B", 3), ("C", 3), ("D", 4)):
         roots = positive_roots(kind, n)
         assert len(set(roots)) == len(roots)
+
+
+def test_root_counts_match_the_enumeration():
+    for n in range(1, 41):
+        for group in (GroupType("GSp", 2 * n), GroupType("GO", 2 * n + 1), GroupType("GO", 2 * n)):
+            kind, rank = group.cartan_type()
+            assert rank == n
+            assert root_data(group).num_pos_roots == len(positive_roots(kind, n)), group
 
 
 def test_group_type_rejects_bad_input():

@@ -55,6 +55,17 @@ def test_matrix_algebra_basics():
     assert a.matvec((F5.one, F5.zero)) == a.col(0)
 
 
+def test_products_with_an_empty_dimension():
+    a = Matrix(F5, [[1, 2], [3, 4]])
+    no_rows = Matrix.zero(F5, 0, 2)
+    no_cols = Matrix.zero(F5, 2, 0)
+    assert no_rows * a == Matrix.zero(F5, 0, 2)
+    assert a * no_cols == no_cols
+    # an empty inner dimension gives the zero matrix of the outer shape
+    assert no_cols * no_rows == Matrix.zero(F5, 2, 2)
+    assert no_rows * no_cols == Matrix.zero(F5, 0, 0)
+
+
 def test_permutation_matrix():
     p = Matrix.permutation(F5, (2, 0, 1))
     v = (F5.from_int(1), F5.from_int(2), F5.from_int(3))

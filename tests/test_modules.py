@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from types import SimpleNamespace
 
@@ -30,7 +31,9 @@ from flab.modules import (
     tensor,
     validate,
 )
+from flab.pairing import LData
 from flab.rings import make_field, make_ring, make_small_surjection
+from flab.simples import SimpleSpec, all_embeddings, minimal_period, tensor_decompose
 from flab.testing import random_fl_module, random_invertible_matrix
 
 
@@ -359,3 +362,148 @@ def test_operations_preserve_validity_randomized():
                 s=(rng.randint(0, 4),), c=(ring.random_unit(rng),)
             )
             validate(dual(m, L))
+
+
+# -- frozen outputs and the dual oracle -----------------------------------------------
+
+
+def _reference_dual(module, L):
+    """dual by its definition: J (c_τ (Φ_τ^{-1})^T) J, J the index reversal."""
+    ring = module.ring
+    blocks = []
+    for tau, blk in enumerate(module.blocks):
+        r = blk.rank
+        rev = Matrix.permutation(ring, tuple(range(r - 1, -1, -1)))
+        phi = rev * (blk.phi.inverse().transpose() * L.c[tau]) * rev
+        blocks.append(FLBlock(tuple(L.s[tau] - w for w in reversed(blk.weights)), phi))
+    weights = [w for blk in blocks for w in blk.weights]
+    return FLModule(ring, (min(weights), max(weights)), blocks)
+
+
+def test_dual_matches_the_reversal_products():
+    rng = random.Random(79)
+    rings = [make_field(q) for q in (5, 7, 25)] + [
+        make_ring("witt", 5, 1, 2),
+        make_ring("witt", 3, 2, 3),
+        make_ring("dual_numbers", 5, 1, 3),
+        make_ring("dual_numbers", 3, 2, 2),
+    ]
+    for ring in rings:
+        for _ in range(20):
+            fprime = rng.choice((1, ring.f))
+            m = random_fl_module(
+                rng, ring, rng.randint(1, 4), witt_degree=fprime, weight_range=(0, 3)
+            )
+            L = SimpleNamespace(
+                s=tuple(rng.randint(0, 5) for _ in range(fprime)),
+                c=tuple(ring.random_unit(rng) for _ in range(fprime)),
+            )
+            assert dual(m, L) == _reference_dual(m, L)
+
+
+# sha256 of the outputs below, recorded while dual still multiplied by the
+# reversal, hom_mf looked up a π-power per equation term and the cyclic
+# modules and embeddings were built through the coercing Matrix constructor
+FROZEN_MODULE_ALGEBRA_SHA256 = "af7828e3add39e9af02e0ba49474c7347b9210f0ca3c190b12a7480ec967f863"
+
+DIGEST_RINGS = [make_field(q) for q in (5, 7, 25)] + [
+    make_ring("witt", 5, 1, 2),
+    make_ring("witt", 3, 2, 2),
+    make_ring("dual_numbers", 5, 1, 2),
+    make_ring("dual_numbers", 3, 2, 2),
+]
+DIGEST_FIELDS = [make_field(q) for q in (5, 7, 11, 13, 25, 49)]
+
+
+def _encoded(matrix):
+    return [[matrix.ring.encode(x) for x in row] for row in matrix.rows]
+
+
+def _encoded_module(module):
+    return [module.bounds, [(blk.weights, _encoded(blk.phi)) for blk in module.blocks]]
+
+
+def _unipotent(rng, module):
+    """module with each Φ_τ replaced by 1 + N_τ, N_τ random and strictly
+    lower triangular.  The weights ascend, so N_τ maps across weight gaps and
+    the endomorphisms have entries there; their equations carry the π-power
+    scales of hom_mf at nonzero values."""
+    ring = module.ring
+    blocks = []
+    for blk in module.blocks:
+        rows = [
+            [ring.random_element(rng) if a < u else int(a == u) for a in range(blk.rank)]
+            for u in range(blk.rank)
+        ]
+        blocks.append(FLBlock(blk.weights, Matrix(ring, rows)))
+    return FLModule(ring, module.bounds, blocks)
+
+
+def _random_spec(rng, h):
+    while True:
+        i = tuple(rng.randint(0, 2) for _ in range(h))
+        if minimal_period(i) == h:
+            return SimpleSpec(h, i)
+
+
+def _embedding_fields(a, b):
+    """The DIGEST_FIELDS holding the tensor weights and every root of unity
+    the summand copies need."""
+    spread = max(a.i) - min(a.i) + max(b.i) - min(b.i)
+    copies = [sm.copies for sm in tensor_decompose(a, b).summands]
+    return [
+        field
+        for field in DIGEST_FIELDS
+        if spread <= field.p - 2 and all((field.size - 1) % d == 0 for d in copies)
+    ]
+
+
+# pairs whose summands split into 2, 3 and 4 copies, so the twisted sources
+# and the root-of-unity coefficients are covered
+TWISTED_PAIRS = [((0, 1), (0, 1)), ((0, 1, 2), (2, 1, 0)), ((0, 1, 2, 3), (3, 2, 1, 0))]
+
+
+def _module_algebra_digest():
+    """Digest of dual, the double dual, the hom_mf(dd, M) generators and the
+    sources and matrices of all_embeddings, case by case.  Distinct weights
+    from 0..rank put gaps of 1 among the unknowns, so the π-power scales of
+    hom_mf are nonzero over the level-2 chain rings."""
+    digest = hashlib.sha256()
+    rng = random.Random(2026)
+    for ring in DIGEST_RINGS:
+        for rank in (2, 3, 4):
+            for fprime in (1, 2) if ring.f == 2 else (1,):
+                m = random_fl_module(
+                    rng, ring, rank, witt_degree=fprime, weight_range=(0, rank),
+                    distinct_weights=True,
+                )
+                for module in (m, _unipotent(rng, m)):
+                    L = LData(
+                        1,
+                        tuple(rng.randint(rank, rank + 2) for _ in range(fprime)),
+                        tuple(ring.random_unit(rng) for _ in range(fprime)),
+                    )
+                    d = dual(module, L)
+                    dd = dual(d, L)
+                    space = hom_mf(dd, module)
+                    digest.update(repr(_encoded_module(d)).encode())
+                    digest.update(repr(_encoded_module(dd)).encode())
+                    digest.update(
+                        repr([[_encoded(x) for x in maps] for maps in space.basis]).encode()
+                    )
+                    digest.update(b"|")
+    pairs = [
+        (_random_spec(rng, h), _random_spec(rng, h2)) for h in (1, 2, 3) for h2 in (1, 2, 3, 4)
+    ]
+    pairs += [(SimpleSpec(len(i), i), SimpleSpec(len(i2), i2)) for i, i2 in TWISTED_PAIRS]
+    for a, b in pairs:
+        for field in _embedding_fields(a, b):
+            for emb in all_embeddings(a, b, field):
+                digest.update(repr((emb.s, emb.copy, _encoded_module(emb.source))).encode())
+                digest.update(repr(_encoded(emb.matrix)).encode())
+            digest.update(b"|")
+    return digest.hexdigest()
+
+
+def test_module_algebra_outputs_are_frozen():
+    assert _module_algebra_digest() == FROZEN_MODULE_ALGEBRA_SHA256

@@ -288,6 +288,42 @@ def test_log_tables_match_convolution():
                 assert ring._mul(a, b) == ring._conv_mul(a, b), (q, a, b)
 
 
+def _conv_mul_per_step(ring, a, b):
+    # the convolution product reducing mod p^level after every product and
+    # every reduction step
+    m = ring._modulus
+    f = ring.f
+    conv = [0] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] = (conv[i + j] + ai * bj) % m
+    mp = ring.minimal_poly
+    for d in range(2 * f - 2, f - 1, -1):
+        c = conv[d]
+        if c:
+            conv[d] = 0
+            off = d - f
+            for i in range(f):
+                conv[off + i] = (conv[off + i] - c * mp[i]) % m
+    return tuple(conv[:f])
+
+
+def test_conv_mul_matches_the_per_step_reduction():
+    # all pairs over W(F_9)/9, random pairs plus the extremes elsewhere
+    rng = random.Random(17)
+    for p, f, n in ((3, 2, 2), (3, 2, 3), (5, 2, 2), (3, 3, 2), (3, 3, 3), (5, 3, 2)):
+        ring = make_ring("witt", p, f, n)
+        top = tuple([ring._modulus - 1] * f)
+        if ring.size <= 81:
+            pairs = [(a, b) for a in ring._all_data() for b in ring._all_data()]
+        else:
+            elems = [ring.random_element(rng).data for _ in range(120)] + [top]
+            pairs = [(a, b) for a in elems for b in elems[:40]]
+        for a, b in pairs:
+            assert ring._conv_mul(a, b) == _conv_mul_per_step(ring, a, b), (p, f, n, a, b)
+
+
 def test_zech_add_and_sub_match_the_coefficientwise_formula():
     # all pairs, zero included, of every tabled field of the workloads and of
     # F_4, F_8, F_16, where -1 = 1
