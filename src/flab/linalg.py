@@ -124,16 +124,6 @@ class Matrix:
             rows[i][j] = o
         return cls._from_data(ring, rows, n)
 
-    @classmethod
-    def from_cols(cls, ring, cols, nrows=None):
-        cols = list(cols)
-        if not cols:
-            if nrows is None:
-                raise InvalidInput("empty matrix needs an explicit nrows")
-            return cls(ring, [[] for _ in range(nrows)], ncols=0)
-        nrows = len(cols[0])
-        return cls(ring, [[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
-
     # -- access ----------------------------------------------------------------
 
     @property

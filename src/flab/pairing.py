@@ -145,9 +145,6 @@ class NormalizationResult:
         self.omega = tuple(omega)
         self._old_phi = tuple(old_phi)
 
-    def basis(self, tau):
-        return self.change_of_basis[tau].cols()
-
     def m_matrix(self, tau):
         """Coordinates of φ^{w_i}(new v_i) in the old basis of block στ."""
         module = self.pairing.module

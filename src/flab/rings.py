@@ -14,9 +14,15 @@ overloading) and provide Frobenius, Teichmueller lifts (witt only), unit
 inversion, unit square roots, and one-step small surjections down the level
 chain.  All values are immutable.
 
-Every ring works on raw data tuples (``_add``, ``_sub``, ``_mul``, and
-``_residue_data``, ``_lift_data``, ``_reduce_data`` between the levels of a
-tower); RingElem wraps them for the public API, and flab.linalg stores and
+Each ring algorithm is written once, on raw data tuples, and each public
+method once, in Ring: it coerces its arguments, calls a raw helper and wraps
+the result in a RingElem.  The two families hold only the raw data layer:
+arithmetic (``_add``, ``_sub``, ``_mul``), structure (``_from_int``,
+``_val``, ``_pi_pow``, ``_unit_part``, ``_frobenius``, ``_encode``) and the
+moves between the levels of a tower (``_residue_data``, ``_lift_data``,
+``_reduce_data``).  Inversion, unit square roots and the Frobenius lift run
+one raw Newton iteration (``_newton``), and powers one square and multiply
+(``_power``); no RingElem is built inside either.  flab.linalg stores and
 computes on the raw tuples directly.  Degrees f above MAX_DEGREE and levels
 above MAX_LEVEL are refused before a ring is built.  Arithmetic per family:
 
@@ -292,14 +298,7 @@ class RingElem:
             return NotImplemented
         if exponent < 0:
             return self.ring.inv(self) ** (-exponent)
-        result = self.ring.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return RingElem(self.ring, _power(self.ring, self.data, exponent))
 
     def __eq__(self, other):
         if isinstance(other, RingElem):
@@ -325,11 +324,21 @@ class RingElem:
 
 
 class Ring:
-    """Common interface of both coefficient-ring families."""
+    """Common interface of both coefficient-ring families: every public
+    method, written once over the raw data layer of the family."""
 
-    __slots__ = ("p", "f", "level", "minimal_poly", "_zero", "_one")
+    __slots__ = ("p", "f", "level", "minimal_poly", "_kring", "_zero", "_one")
 
     family = "abstract"
+
+    def __init__(self, p, f, level, minimal_poly):
+        self.p = p
+        self.f = f
+        self.level = level
+        self.minimal_poly = minimal_poly
+        self._kring = self if self.is_field() else _cached_ring("witt", p, f, 1)
+        self._zero = RingElem(self, self._from_int(0))
+        self._one = RingElem(self, self._from_int(1))
 
     # -- identity ----------------------------------------------------------
 
@@ -362,6 +371,12 @@ class Ring:
         self._check_data(data)
         return RingElem(self, data)
 
+    def from_int(self, n):
+        return RingElem(self, self._from_int(n))
+
+    def encode(self, x):
+        return self._encode(_coerce(self, x).data)
+
     @property
     def size(self):
         return self.p ** (self.f * self.level)
@@ -375,9 +390,12 @@ class Ring:
 
     # -- the tower: residue field and levels ---------------------------------
 
+    def residue_ring(self):
+        return self._kring
+
     def residue(self, x):
         """Image of x in the residue field."""
-        return RingElem(self.residue_ring(), self._residue_data(_coerce(self, x).data))
+        return RingElem(self._kring, self._residue_data(_coerce(self, x).data))
 
     def reduce_to(self, x, target):
         """Image of x at a lower level target of the same tower."""
@@ -390,6 +408,11 @@ class Ring:
             raise RingMismatch("reduce_to expects a lower level of the same tower")
         return RingElem(target, self._reduce_data(x.data, target))
 
+    def lift_from(self, x):
+        """Canonical lift of an element of a lower level of the same tower."""
+        self._check_lift(x.ring if isinstance(x, RingElem) else None)
+        return RingElem(self, self._lift_data(x.ring, x.data))
+
     # -- units ---------------------------------------------------------------
 
     def is_unit(self, x):
@@ -399,42 +422,58 @@ class Ring:
         """Valuation of x (p-adic or t-adic), capped at the level for zero."""
         return self._val(_coerce(self, x).data)
 
+    def pi(self):
+        return self.pi_pow(1)
+
+    def pi_pow(self, v):
+        return RingElem(self, self._pi_pow(v))
+
     def inv(self, x):
         x = _coerce(self, x)
         if not self._is_unit(x.data):
             raise InvalidInput("inverse of a non-unit")
+        return RingElem(self, self._inv(x.data))
+
+    def _inv(self, a):
+        """Inverse of the unit with raw data a: mod p^level on Z/p^level, by
+        table or a^(q-2) in a field, else from the residue inverse by the
+        division-free Newton step z <- z (2 - a z)."""
         if self.family == "witt" and self.f == 1:
-            return RingElem(self, (pow(x.data[0], -1, self._modulus),))
+            return (pow(a[0], -1, self._modulus),)
         if self.is_field():
             tables = self._field_tables()
             if tables:
                 log, exp = tables
-                return RingElem(self, exp[self.residue_size - 1 - log[x.data]])
-            return x ** (self.residue_size - 2)
-        z = self.lift_from(self.residue_ring().inv(self.residue(x)))
-        for _ in range(self.level.bit_length() + 2):
-            if x * z == self._one:
-                return z
-            z = z * (2 - x * z)
-        if x * z == self._one:
-            return z
-        raise InternalRankFailure("unit inversion did not converge")
+                return exp[self.residue_size - 1 - log[a]]
+            return _power(self, a, self.residue_size - 2)
+        k = self._kring
+        one = self._one.data
+        # the step z - z (a z - 1) is z (2 - a z)
+        return _newton(
+            self,
+            self._lift_data(k, k._inv(self._residue_data(a))),
+            lambda z: self._sub(self._mul(a, z), one),
+            self._mul,
+            "unit inversion did not converge",
+        )
 
     def divide(self, a, b):
         """Exact division a / b, defined when val(a) >= val(b).
 
-        The result c satisfies c * b == a exactly in the truncated ring.
+        The result c satisfies c * b == a exactly in the truncated ring: it
+        is pi^(va - vb) u(a) u(b)^-1, u the unit parts, for a non-unit b.
         """
-        a = _coerce(self, a)
-        b = _coerce(self, b)
-        if self.is_unit(b):
-            return a * self.inv(b)
-        va, vb = self.val(a), self.val(b)
+        a = _coerce(self, a).data
+        b = _coerce(self, b).data
+        if self._is_unit(b):
+            return RingElem(self, self._mul(a, self._inv(b)))
+        va, vb = self._val(a), self._val(b)
         if va < vb:
             raise InvalidInput("division with valuation drop")
-        if not a:
-            return self.zero
-        return self.pi_pow(va - vb) * self.unit_part(a) * self.inv(self.unit_part(b))
+        if va == self.level:
+            return self._zero
+        c = self._mul(self._pi_pow(va - vb), self._unit_part(a, va))
+        return RingElem(self, self._mul(c, self._inv(self._unit_part(b, vb))))
 
     def unit_sqrt(self, u):
         """Deterministic square root of a unit.
@@ -442,21 +481,42 @@ class Ring:
         The residue root with the smallest canonical encoding is refined by
         Newton iteration (p odd makes 2 a unit).
         """
-        u = _coerce(self, u)
-        if not self.is_unit(u):
+        u = _coerce(self, u).data
+        if not self._is_unit(u):
             raise InvalidInput("unit_sqrt requires a unit")
-        kfield = self.residue_ring()
-        root = _field_sqrt(kfield, self._residue_data(u.data))
+        k = self._kring
+        root = _field_sqrt(k, self._residue_data(u))
         if root is None:
             raise InvalidInput("residue is not a square")
-        s = RingElem(self, self._lift_data(kfield, root))
-        for _ in range(self.level.bit_length() + 2):
-            if s * s == u:
-                return s
-            s = s - (s * s - u) / (2 * s)
-        if s * s == u:
-            return s
-        raise InternalRankFailure("square-root iteration did not converge")
+        mul = self._mul
+        s = _newton(
+            self,
+            self._lift_data(k, root),
+            lambda s: self._sub(mul(s, s), u),
+            lambda s, r: mul(r, self._inv(self._add(s, s))),
+            "square-root iteration did not converge",
+        )
+        return RingElem(self, s)
+
+    # -- Frobenius -----------------------------------------------------------
+
+    def frobenius(self, x):
+        return RingElem(self, self._frobenius(_coerce(self, x).data))
+
+    def teichmuller(self, x):
+        """Multiplicative lift: the unique y = x mod p with y^{p^f} = y."""
+        if self.family != "witt":
+            raise InvalidInput("teichmuller requires the witt family")
+        k = self._kring
+        if not isinstance(x, int) and x.ring == self:
+            x = self.residue(x)
+        y = self._lift_data(k, _coerce(k, x).data)
+        for _ in range(self.level + 2):
+            y_next = _power(self, y, self.residue_size)
+            if y_next == y:
+                return RingElem(self, y)
+            y = y_next
+        raise InternalRankFailure("Teichmuller iteration did not stabilize")
 
     # -- enumeration ---------------------------------------------------------
 
@@ -482,10 +542,6 @@ class WittRing(Ring):
     family = "witt"
 
     def __init__(self, p, f, level, minimal_poly):
-        self.p = p
-        self.f = f
-        self.level = level
-        self.minimal_poly = minimal_poly
         self._modulus = p**level
         self._frob_cols = None
         # None: log tables due on first use; False: multiply by convolution
@@ -493,11 +549,9 @@ class WittRing(Ring):
         self._tables = None if tabled else False
         # (zech, n, h), built with the log tables (see _field_tables)
         self._zech = None
-        self._zero = RingElem(self, (0,) * f)
-        one = (1,) + (0,) * (f - 1)
-        self._one = RingElem(self, one)
+        super().__init__(p, f, level, minimal_poly)
 
-    # -- data layer ----------------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
     def _check_data(self, data):
         m = self._modulus
@@ -611,7 +665,7 @@ class WittRing(Ring):
             log[zero] = 2 * n
             p = self.p
             zech = [log[((x[0] + 1) % p,) + x[1:]] for x in powers]
-            self._zech = (zech, n, log[self.from_int(-1).data])
+            self._zech = (zech, n, log[self._from_int(-1)])
             self._tables = (log, powers * 2 + [zero] * (2 * n + 1))
         return self._tables
 
@@ -637,11 +691,8 @@ class WittRing(Ring):
 
     # -- structure -----------------------------------------------------------
 
-    def from_int(self, n):
-        return RingElem(self, (n % self._modulus,) + (0,) * (self.f - 1))
-
-    def encode(self, x):
-        return self._encode(_coerce(self, x).data)
+    def _from_int(self, n):
+        return (n % self._modulus,) + (0,) * (self.f - 1)
 
     def _encode(self, data):
         m = self._modulus
@@ -666,27 +717,13 @@ class WittRing(Ring):
                 best = min(best, v)
         return best
 
-    def pi(self):
-        return self.from_int(self.p)
+    def _pi_pow(self, v):
+        return self._from_int(self.p**v) if v < self.level else self._zero.data
 
-    def pi_pow(self, v):
-        if v >= self.level:
-            return self._zero
-        return self.from_int(self.p**v)
-
-    def unit_part(self, x):
-        """u with x == pi^val(x) * u exactly; one for x == 0."""
-        x = _coerce(self, x)
-        v = self.val(x)
-        if v >= self.level:
-            return self._one
+    def _unit_part(self, data, v):
+        """u with data == p^v u, for the valuation v < level of data."""
         step = self.p**v
-        return RingElem(self, tuple(c // step for c in x.data))
-
-    def residue_ring(self):
-        if self.level == 1:
-            return self
-        return _cached_ring("witt", self.p, self.f, 1)
+        return tuple(c // step for c in data)
 
     def _residue_data(self, data):
         if self.level == 1:
@@ -694,15 +731,9 @@ class WittRing(Ring):
         p = self.p
         return tuple(c % p for c in data)
 
-    def lift_from(self, x):
-        """Canonical lift of an element of a lower-level witt ring."""
-        if not isinstance(x, RingElem):
-            raise RingMismatch("lift_from expects a witt element")
-        self._check_lift(x.ring)
-        return RingElem(self, self._lift_data(x.ring, x.data))
-
     def _check_lift(self, low):
-        if low.family != "witt":
+        # low is None for a lift_from argument that is no ring element
+        if low is None or low.family != "witt":
             raise RingMismatch("lift_from expects a witt element")
         if (low.p, low.f) != (self.p, self.f) or low.level > self.level:
             raise RingMismatch("lift_from expects a lower level of the same tower")
@@ -718,36 +749,31 @@ class WittRing(Ring):
     # -- Frobenius -----------------------------------------------------------
 
     def _frobenius_columns(self):
-        if self._frob_cols is not None:
-            return self._frob_cols
-        f = self.f
-        theta = RingElem(self, (0, 1) + (0,) * (f - 2))
-        mp = list(self.minimal_poly)
-        dmp = [(i * mp[i]) % self._modulus for i in range(1, len(mp))]
-        y = theta**self.p
-        for _ in range(self.level.bit_length() + 3):
-            fy = self._eval_intpoly(mp, y)
-            if not fy:
-                break
-            y = y - fy / self._eval_intpoly(dmp, y)
-        if self._eval_intpoly(mp, y):
-            raise InternalRankFailure("Frobenius root lift did not converge")
-        cols = []
-        power = self._one
-        for _ in range(f):
-            cols.append(power.data)
-            power = power * y
-        self._frob_cols = tuple(cols)
+        """Frobenius images of 1, θ, ..., θ^(f-1), θ the class of x: the
+        powers of the root of the minimal polynomial above θ^p."""
+        if self._frob_cols is None:
+            mul = self._mul
+            mp = [self._from_int(c) for c in self.minimal_poly]
+            dmp = [self._from_int(i * c) for i, c in enumerate(self.minimal_poly)][1:]
+            y = _newton(
+                self,
+                _power(self, (0, 1) + (0,) * (self.f - 2), self.p),
+                lambda y: self._horner(mp, y),
+                lambda y, r: mul(r, self._inv(self._horner(dmp, y))),
+                "Frobenius root lift did not converge",
+            )
+            cols = [self._one.data]
+            for _ in range(self.f - 1):
+                cols.append(mul(cols[-1], y))
+            self._frob_cols = tuple(cols)
         return self._frob_cols
 
-    def _eval_intpoly(self, coeffs, y):
-        acc = self.zero
+    def _horner(self, coeffs, y):
+        """The polynomial with raw coefficients coeffs, lowest first, at y."""
+        acc = self._zero.data
         for c in reversed(coeffs):
-            acc = acc * y + c
+            acc = self._add(self._mul(acc, y), c)
         return acc
-
-    def frobenius(self, x):
-        return RingElem(self, self._frobenius(_coerce(self, x).data))
 
     def _frobenius(self, data):
         if self.f == 1:
@@ -762,37 +788,13 @@ class WittRing(Ring):
                     out[j] = (out[j] + ai * col[j]) % m
         return tuple(out)
 
-    def teichmuller(self, x):
-        """Multiplicative lift: the unique y = x mod p with y^{p^f} = y."""
-        if isinstance(x, int):
-            x = self.residue_ring().from_int(x)
-        x = _coerce(self.residue_ring(), x) if x.ring != self else self.residue(x)
-        y = self.lift_from(x)
-        q = self.p**self.f
-        for _ in range(self.level + 2):
-            y_next = y**q
-            if y_next == y:
-                return y
-            y = y_next
-        raise InternalRankFailure("Teichmuller iteration did not stabilize")
-
 
 class DualNumbersRing(Ring):
-    __slots__ = ("_kring",)
+    __slots__ = ()
 
     family = "dual_numbers"
 
-    def __init__(self, p, f, level, minimal_poly):
-        self.p = p
-        self.f = f
-        self.level = level
-        self.minimal_poly = minimal_poly
-        self._kring = _cached_ring("witt", p, f, 1)
-        kzero = self._kring.zero.data
-        self._zero = RingElem(self, (kzero,) * level)
-        self._one = RingElem(self, (self._kring.one.data,) + (kzero,) * (level - 1))
-
-    # -- data layer ----------------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
     def _check_data(self, data):
         if not isinstance(data, tuple) or len(data) != self.level:
@@ -834,18 +836,15 @@ class DualNumbersRing(Ring):
 
     # -- structure -----------------------------------------------------------
 
-    def from_int(self, n):
+    def _from_int(self, n):
         k = self._kring
-        return RingElem(
-            self, (k.from_int(n).data,) + (k.zero.data,) * (self.level - 1)
-        )
+        return (k._from_int(n),) + (k._zero.data,) * (self.level - 1)
 
-    def encode(self, x):
-        x = _coerce(self, x)
+    def _encode(self, data):
         k = self._kring
         base = k.size
         total = 0
-        for coeff in reversed(x.data):
+        for coeff in reversed(data):
             total = total * base + k._encode(coeff)
         return total
 
@@ -858,38 +857,24 @@ class DualNumbersRing(Ring):
                 return i
         return self.level
 
-    def pi(self):
-        return self.pi_pow(1)
-
-    def pi_pow(self, v):
-        if v >= self.level:
-            return self._zero
+    def _pi_pow(self, v):
         k = self._kring
-        data = [k.zero.data] * self.level
-        data[v] = k.one.data
-        return RingElem(self, tuple(data))
+        data = [k._zero.data] * self.level
+        if v < self.level:
+            data[v] = k._one.data
+        return tuple(data)
 
-    def unit_part(self, x):
-        """u with x == pi^val(x) * u exactly; one for x == 0."""
-        x = _coerce(self, x)
-        v = self.val(x)
-        if v >= self.level:
-            return self._one
-        return RingElem(self, x.data[v:] + (self._kring.zero.data,) * v)
-
-    def residue_ring(self):
-        return self._kring
+    def _unit_part(self, data, v):
+        """u with data == t^v u, for the valuation v < level of data."""
+        return data[v:] + (self._kring._zero.data,) * v
 
     def _residue_data(self, data):
         return data[0]
 
-    def lift_from(self, x):
-        if not isinstance(x, RingElem):
-            raise RingMismatch("lift_from expects a ring element")
-        self._check_lift(x.ring)
-        return RingElem(self, self._lift_data(x.ring, x.data))
-
     def _check_lift(self, low):
+        # low is None for a lift_from argument that is no ring element
+        if low is None:
+            raise RingMismatch("lift_from expects a ring element")
         if not (
             low == self._kring
             or (
@@ -910,17 +895,13 @@ class DualNumbersRing(Ring):
     def _reduce_data(self, data, target):
         return data[: target.level]
 
-    def frobenius(self, x):
-        x = _coerce(self, x)
+    def _frobenius(self, data):
         k = self._kring
-        return RingElem(self, tuple(k._frobenius(c) for c in x.data))
-
-    def teichmuller(self, x):
-        raise InvalidInput("teichmuller requires the witt family")
+        return tuple(k._frobenius(c) for c in data)
 
 
 # ---------------------------------------------------------------------------
-# square roots in the residue field
+# raw algorithms: powers, Newton iteration, square roots in the residue field
 
 
 def _power(k, x, e):
@@ -932,6 +913,23 @@ def _power(k, x, e):
         x = k._mul(x, x)
         e >>= 1
     return result
+
+
+def _newton(ring, y, residual, step, error):
+    """Refine the raw data y, a root of residual modulo the maximal ideal,
+    by y <- y - step(y, residual(y)) until the residual vanishes.
+
+    Every step is a Newton step, which doubles the precision, so
+    level.bit_length() + 2 of them suffice; error is the message of the
+    InternalRankFailure raised if they do not.
+    """
+    zero = ring._zero.data
+    for _ in range(ring.level.bit_length() + 3):
+        r = residual(y)
+        if r == zero:
+            return y
+        y = ring._sub(y, step(y, r))
+    raise InternalRankFailure(error)
 
 
 def _field_sqrt(k, a):

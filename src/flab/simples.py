@@ -284,8 +284,7 @@ def all_embeddings(a, b, q):
 def change_of_basis(a, b, q):
     """Matrix whose columns are the images of all summand embeddings."""
     ring = _as_field(q)
-    cols = []
-    for emb in all_embeddings(a, b, ring):
-        for c in range(emb.matrix.ncols):
-            cols.append([emb.matrix[r, c] for r in range(emb.matrix.nrows)])
-    return Matrix.from_cols(ring, cols)
+    mats = [emb.matrix for emb in all_embeddings(a, b, ring)]
+    # row r is row r of every embedding matrix in turn
+    rows = [[x for row in parts for x in row] for parts in zip(*(m._raw for m in mats))]
+    return Matrix._from_data(ring, rows, sum(m.ncols for m in mats))

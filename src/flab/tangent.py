@@ -45,7 +45,7 @@ from .errors import EnumerationTooLarge, InternalRankFailure, InvalidInput
 from .feasibility import GroupType, root_data
 from .linalg import Matrix
 from .modules import check_multiplicity_free, check_weight_spread, validate
-from .pairing import normalize_standard, validate_pairing
+from .pairing import _normalize, validate_pairing
 
 SIZE_GUARD = 10**6
 
@@ -265,7 +265,9 @@ def tangent_report(paired):
 
 
 def _enumerate_count(paired):
-    norm = normalize_standard(paired).pairing
+    # paired is valid (tangent_report checked it), and delta_space validates
+    # the normal form
+    norm = _normalize(paired).pairing
     module = norm.module
     kring = module.ring
     delta = delta_space(norm)

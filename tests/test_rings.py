@@ -13,6 +13,7 @@ from flab.rings import (
     MAX_DEGREE,
     MAX_LEVEL,
     PRIME_TRIAL_BOUND,
+    RingElem,
     _encoding_order,
     _prime_factors,
     _split_prime_power,
@@ -599,3 +600,149 @@ def test_dual_numbers_residue_is_shared_witt_field():
     t = D9_2.pi()
     x = D9_2.lift_from(F9.from_int(2)) + t
     assert D9_2.residue(x) == F9.from_int(2)
+
+
+# -- raw algorithms against the former RingElem-level loops ------------------------
+
+Z125 = make_ring("witt", 5, 1, 3)
+D9_3 = make_ring("dual_numbers", 3, 2, 3)
+D5_4 = make_ring("dual_numbers", 5, 1, 4)
+
+
+def _elem_pow(x, e):
+    """The former RingElem.__pow__: square and multiply on RingElems."""
+    result, base = x.ring.one, x
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
+def _elem_inv(ring, x):
+    """The former Ring.inv, with x^(q-2) in every field: Newton's
+    z <- z (2 - x z) on RingElems from the residue inverse."""
+    if ring.is_field():
+        return _elem_pow(x, ring.residue_size - 2)
+    z = ring.lift_from(_elem_inv(ring.residue_ring(), ring.residue(x)))
+    for _ in range(ring.level.bit_length() + 2):
+        if x * z == ring.one:
+            return z
+        z = z * (2 - x * z)
+    assert x * z == ring.one
+    return z
+
+
+def _elem_sqrt(ring, u):
+    """The former Ring.unit_sqrt: the residue root of smallest encoding,
+    then Newton's s <- s - (s^2 - u) / (2 s) on RingElems; None for a
+    residue that is no square."""
+    ubar = ring.residue(u)
+    root = next((c for c in ring.residue_ring().elements() if c * c == ubar), None)
+    if root is None:
+        return None
+    s = ring.lift_from(root)
+    for _ in range(ring.level.bit_length() + 2):
+        if s * s == u:
+            return s
+        s = s - (s * s - u) * _elem_inv(ring, 2 * s)
+    assert s * s == u
+    return s
+
+
+def _elem_teichmuller(ring, x):
+    """The former WittRing.teichmuller on a residue element x."""
+    y = ring.lift_from(x)
+    for _ in range(ring.level + 2):
+        y_next = _elem_pow(y, ring.residue_size)
+        if y_next == y:
+            return y
+        y = y_next
+    raise AssertionError("Teichmuller iteration did not stabilize")
+
+
+def _elem_frobenius_columns(ring):
+    """The former Frobenius-root loop: Newton on RingElems for the root of
+    the minimal polynomial above theta^p, and its first f powers."""
+    mp = list(ring.minimal_poly)
+    dmp = [(i * mp[i]) % ring._modulus for i in range(1, len(mp))]
+
+    def value(coeffs, y):
+        acc = ring.zero
+        for c in reversed(coeffs):
+            acc = acc * y + c
+        return acc
+
+    y = _elem_pow(ring.elem((0, 1) + (0,) * (ring.f - 2)), ring.p)
+    for _ in range(ring.level.bit_length() + 3):
+        fy = value(mp, y)
+        if not fy:
+            break
+        y = y - fy * _elem_inv(ring, value(dmp, y))
+    assert not value(mp, y)
+    return tuple(_elem_pow(y, i).data for i in range(ring.f))
+
+
+def test_raw_unit_algorithms_match_the_ring_element_loops():
+    # every unit of four chain rings, both families, f = 1 and f = 2
+    for ring in (Z125, W9_3, D9_3, D5_4):
+        for x in ring.elements():
+            if not ring.is_unit(x):
+                continue
+            assert ring.inv(x).data == _elem_inv(ring, x).data, (ring, x)
+            root = _elem_sqrt(ring, x)
+            if root is None:
+                with pytest.raises(InvalidInput, match="^residue is not a square$"):
+                    ring.unit_sqrt(x)
+            else:
+                assert ring.unit_sqrt(x).data == root.data, (ring, x)
+            for e in (0, 1, 2, 7, ring.residue_size, ring.size + 1):
+                assert (x**e).data == _elem_pow(x, e).data, (ring, x, e)
+            assert (x**-3).data == _elem_pow(_elem_inv(ring, x), 3).data, (ring, x)
+            if ring.family == "witt":
+                expected = _elem_teichmuller(ring, ring.residue(x))
+                assert ring.teichmuller(x).data == expected.data, (ring, x)
+
+
+def test_frobenius_columns_match_the_ring_element_loop(monkeypatch):
+    for ring in (W9_3, make_ring("witt", 3, 3, 2), make_ring("witt", 5, 3, 2)):
+        monkeypatch.setattr(ring, "_frob_cols", None)
+        assert ring._frobenius_columns() == _elem_frobenius_columns(ring), ring
+
+
+def test_ring_algorithms_do_no_ring_element_arithmetic(monkeypatch):
+    # inputs and expected values are built before RingElem's operators are
+    # made to raise; the Frobenius columns are then computed afresh
+    cases = []
+    for ring in (Z125, W9_3, make_ring("witt", 3, 3, 2), D9_3, D5_4):
+        unit = next(x for x in ring.elements() if ring.val(x - 2) == 1)
+        pi, pi2 = ring.pi(), ring.pi_pow(2)
+        quotient = ring.divide(pi2 * unit, pi)
+        assert quotient * pi == pi2 * unit
+        calls = [
+            (ring.inv, (unit,), _elem_inv(ring, unit)),
+            (ring.divide, (pi2, unit), pi2 * _elem_inv(ring, unit)),
+            (ring.divide, (pi2 * unit, pi), quotient),
+            (ring.divide, (ring.zero, pi2), ring.zero),
+            (ring.unit_sqrt, (unit * unit,), _elem_sqrt(ring, unit * unit)),
+            (ring.frobenius, (unit + pi,), ring.frobenius(unit + pi)),
+        ]
+        if ring.family == "witt":
+            calls.append(
+                (ring.teichmuller, (unit,), _elem_teichmuller(ring, ring.residue(unit)))
+            )
+            monkeypatch.setattr(ring, "_frob_cols", None)
+        cases.append(calls)
+
+    def refuse(*args):
+        raise AssertionError("RingElem arithmetic inside a ring algorithm")
+
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__neg__", "__truediv__", "__pow__",
+    ):
+        monkeypatch.setattr(RingElem, name, refuse)
+    for calls in cases:
+        for method, args, expected in calls:
+            assert method(*args) == expected, (method, args)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -13,8 +14,14 @@ from flab.errors import (
 )
 from flab.feasibility import GroupType, root_data
 from flab.linalg import Matrix
-from flab.modules import FLBlock, FLModule
-from flab.pairing import LData, PairedFLModule, change_basis, standard_gram
+from flab.modules import FLBlock, FLModule, validate
+from flab.pairing import (
+    LData,
+    PairedFLModule,
+    change_basis,
+    standard_gram,
+    validate_pairing,
+)
 from flab.tangent import (
     deformation_count,
     delta_space,
@@ -169,6 +176,31 @@ def test_deformation_count_rank_one():
     k = make_field(5)
     paired = _simple_paired(k, (1,), [[1]], 1, 2)
     assert deformation_count(paired, enumerate_check=True) == 1
+
+
+def _count_calls(monkeypatch, fn):
+    """Record the calls of fn through every flab namespace that binds it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "flab" or name.startswith("flab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_deformation_count_validates_each_pairing_once(monkeypatch, pcanon2):
+    pairings = _count_calls(monkeypatch, validate_pairing)
+    modules = _count_calls(monkeypatch, validate)
+    assert deformation_count(pcanon2, enumerate_check=True) == 25
+    # the input in tangent_report, then its normal form in the enumeration
+    assert len(pairings) == 2
+    assert len(modules) == 2
 
 
 def test_deformation_count_guards(pcanon2):
