@@ -106,16 +106,6 @@ class CorrectionSystem:
     def witt_degree(self):
         return len(self.coeff)
 
-    def equation_pairs(self):
-        """Equation indices (a, b), grouped by first index a in descending
-        order; orthogonal systems include the diagonal (a, a)."""
-        pairs = []
-        for a in range(self.rank - 1, -1, -1):
-            start = a if self.epsilon == 1 else a + 1
-            for b in range(start, self.rank):
-                pairs.append((a, b))
-        return pairs
-
     def _functionals(self, tau):
         # row a of the result is the functional x -> x^T S C_a on k^r
         std_k = standard_gram(self.kring, self.rank, self.epsilon)

@@ -137,20 +137,12 @@ class NormalizationResult:
     matrices V_τ whose columns are the new basis vectors in the old basis.
     """
 
-    __slots__ = ("pairing", "change_of_basis", "omega", "_old_phi")
+    __slots__ = ("pairing", "change_of_basis", "omega")
 
-    def __init__(self, pairing, change_of_basis, omega, old_phi):
+    def __init__(self, pairing, change_of_basis, omega):
         self.pairing = pairing
         self.change_of_basis = tuple(change_of_basis)
         self.omega = tuple(omega)
-        self._old_phi = tuple(old_phi)
-
-    def m_matrix(self, tau):
-        """Coordinates of φ^{w_i}(new v_i) in the old basis of block στ."""
-        module = self.pairing.module
-        old_phi = self._old_phi[tau]
-        weights = module.blocks[tau].weights
-        return old_phi * divided(self.change_of_basis[tau], weights, weights)
 
     def __repr__(self):
         return f"NormalizationResult(omega={self.omega})"
@@ -188,13 +180,6 @@ def sign_function(rank, epsilon):
     if rank % 2:
         raise OddRankSymplectic(f"rank {rank} is odd")
     return tuple(1 if h < rank // 2 else -1 for h in range(rank))
-
-
-def gram_transform(G, C):
-    """Congruence transform C^T G C for an invertible change of basis C."""
-    if not C.is_invertible():
-        raise InvalidInput("change of basis must be invertible")
-    return C.transpose() * G * C
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +397,4 @@ def _normalize(paired, unit_reduce=False):
             raise InternalRankFailure(
                 f"normalization of block {tau} missed the standard form"
             )
-    return NormalizationResult(
-        normalized, vs, omegas, (blk.phi for blk in module.blocks)
-    )
+    return NormalizationResult(normalized, vs, omegas)

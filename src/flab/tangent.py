@@ -2,7 +2,7 @@
 
 Spaces of endomorphism data are represented as lists of elements, one
 element being a tuple of per-block matrices over the residue field.  Three
-nested spaces are computed by exact kernel calculations:
+nested spaces are computed, the last two by exact kernel calculations:
 
 * delta_space: A_τ^T G_τ + G_τ A_τ = 0 (the pairing Lie condition);
 * fil0_subspace: additionally weight-adapted (A[u,a] = 0 when w_u < w_a);
@@ -19,16 +19,19 @@ coboundaries diag(α_τ) − Φ_τ^{-1} α_{στ} Φ_τ of Fil^0 elements, givin
 deformation_count returns |k|^dim and can cross-check it against a direct
 orbit enumeration for small fields.
 
-delta_space builds only the independent Lie equations.  Once
-validate_pairing has passed, G_τ^T = ε G_τ, so M(A) = A^T G_τ + G_τ A
-satisfies M(A)^T = ε M(A): row (j, i) of the system is ε times row (i, j),
-and for ε = −1 the diagonal rows vanish.  Rows (i, j) are built for i <= j
-when ε = +1 and for i < j when ε = −1, in row-major order.  The kernel is
-unchanged.  Over a field kernel_gens returns the reduced-echelon null basis,
-which depends only on the row span.  Over W/p^n and k[t]/t^n a dropped row
-is an exact ±copy of an earlier kept row: the sweep scans rows in order, so
-the copy never pivots before its twin, row and column operations keep it a
-copy, and it is zero once its twin pivots; zero rows are never touched.
+delta_space is in closed form.  After validate_pairing G = G_τ is invertible
+and G^T = ε G, so A^T G + G A = G A + ε (G A)^T vanishes exactly when G A is
+(−ε)-symmetric (so(G), sp(G): Fulton–Harris, Lectures 16 and 18).  Δ_τ is
+spanned by G^{-1}(E_ij − ε E_ji), i < j, and G^{-1} E_ii when ε = −1 or p = 2.
+The basis is the span's reduced echelon form with the coordinates A[u][a]
+at u r + a read right to left, as kernel_gens gives it on the Lie system.
+Over a field its null vector n_f is 1 at free column f, 0 at the other free
+ones and nonzero only at pivot columns left of f, so right to left {n_f} is
+the unique reduced echelon basis of the kernel.  Over W/p^n and k[t]/t^n, p
+is odd and A ↦ A^T G + G A maps onto the ε-symmetric matrices (take
+A = ½ G^{-1} M), so the independent Lie rows have full rank mod π: every
+sweep pivot is a unit, the kernel is free, and both routes reduce to the
+field case step by step.
 
 fil0_subspace and end_mf_pairing read each input element once into a flat
 raw vector (blocks concatenated, each row-major).  Their system rows are
@@ -43,7 +46,7 @@ import itertools
 
 from .errors import EnumerationTooLarge, InternalRankFailure, InvalidInput
 from .feasibility import GroupType, root_data
-from .linalg import Matrix
+from .linalg import Matrix, _gauss_jordan, _scale_pivot_rows
 from .modules import check_multiplicity_free, check_weight_spread, validate
 from .pairing import _normalize, validate_pairing
 
@@ -123,38 +126,34 @@ def _solve(module, vecs, rows):
 
 
 def delta_space(paired):
-    """Basis of per-block matrices A with A^T G_τ + G_τ A = 0.
-
-    G_τ is ε-symmetric once validate_pairing has passed, so row (j, i) of
-    the system is ε times row (i, j) and only i <= j (i < j for ε = -1,
-    whose diagonal rows vanish) is built; see the module docstring.
-    """
+    """Basis of per-block A with A^T G_τ + G_τ A = 0, in closed form (module docstring)."""
     validate(paired.module)
     validate_pairing(paired)
     kring = paired.module.ring
-    blocks = paired.module.blocks
-    zeros = [Matrix.zero(kring, blk.rank, blk.rank) for blk in blocks]
-    skip_diagonal = 1 if paired.L.epsilon == -1 else 0
+    zeros = [Matrix.zero(kring, blk.rank, blk.rank) for blk in paired.module.blocks]
+    first_j = 0 if paired.L.epsilon == -1 or kring.p == 2 else 1
+    minus_eps = kring.from_int(-paired.L.epsilon).data
     basis = []
-    add = kring._add
-    zero = kring.zero.data
-    for tau in range(len(blocks)):
-        G = paired.gram[tau]._raw
-        r = len(G)
+    for tau, G in enumerate(paired.gram):
+        H = G.inverse(error=InternalRankFailure(f"Gram block {tau} is singular"))._raw
+        r = len(H)
         rows = []
         for i in range(r):
-            for j in range(i + skip_diagonal, r):
-                row = [zero] * (r * r)
+            for j in range(i + first_j, r):
+                # G^{-1}(E_ij − ε E_ji) with its entry (u, a) at index r² − 1 − (u r + a)
+                row = [kring.zero.data] * (r * r)
                 for u in range(r):
-                    row[u * r + i] = add(row[u * r + i], G[u][j])
-                    row[u * r + j] = add(row[u * r + j], G[i][u])
+                    row[-1 - u * r - j] = H[u][i]
+                    if j != i:
+                        row[-1 - u * r - i] = kring._mul(minus_eps, H[u][j])
                 rows.append(row)
-        system = Matrix._from_data(kring, rows, r * r)
-        for vec in system.kernel_gens():
+        rows, pivot_cols = _gauss_jordan(kring, rows, r * r)
+        if len(pivot_cols) < len(rows):
+            raise InternalRankFailure(f"delta space of block {tau} lost rank")
+        for row in reversed(_scale_pivot_rows(kring, rows, pivot_cols)):
+            vec = row[::-1]
             mats = list(zeros)
-            mats[tau] = Matrix._from_data(
-                kring, [[vec[u * r + a].data for a in range(r)] for u in range(r)], r
-            )
+            mats[tau] = Matrix._from_data(kring, [vec[u * r : (u + 1) * r] for u in range(r)], r)
             basis.append(tuple(mats))
     return basis
 

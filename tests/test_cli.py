@@ -13,6 +13,7 @@ import pytest
 import flab
 from flab.cli import main
 from flab.io import (
+    MAX_RANK,
     document_to_object,
     dumps_canonical,
     matrix_to_rows,
@@ -323,6 +324,70 @@ def test_huge_q_with_embeddings_exits_1_quickly():
     assert proc.stderr.startswith("InvalidInput ")
     assert proc.stderr.endswith(" has no prime factor up to the trial-division bound 1048576\n")
     assert elapsed < 5, elapsed
+
+
+def _standard_paired_doc(rank):
+    """A valid rank-r document: weights 0, ..., r - 1 over F_101, identity Φ
+    and the standard orthogonal pairing with s = r - 1."""
+    ring = make_field(101)
+    module = FLModule(ring, (0, rank - 1), [FLBlock(tuple(range(rank)), Matrix.identity(ring, rank))])
+    gram = standard_gram(ring, rank, 1)
+    return paired_to_dict(PairedFLModule(module, LData(1, (rank - 1,), (ring.one,)), (gram,)))
+
+
+def _rank_edited(edit):
+    doc = paired_to_dict(pcanon2())
+    edit(doc)
+    return doc
+
+
+def _oversized_docs():
+    """name -> (document, stderr of every file subcommand)."""
+    over = MAX_RANK + 1
+    zero_rows = [[[0], [0]]] * over
+    return {
+        "rank_over": (
+            _standard_paired_doc(over),
+            f"InvalidInput rank = {over} exceeds the bound {MAX_RANK}\n",
+        ),
+        "rank_huge": (
+            _rank_edited(lambda d: d.update(rank=10**6)),
+            f"InvalidInput rank = 1000000 exceeds the bound {MAX_RANK}\n",
+        ),
+        "phi_rows": (
+            _rank_edited(lambda d: d["blocks"][0].update(phi=zero_rows)),
+            f"InvalidInput row count = {over} exceeds the bound {MAX_RANK}\n",
+        ),
+        "phi_row_length": (
+            _rank_edited(lambda d: d["blocks"][0].update(phi=[[[0]] * over] * 2)),
+            f"InvalidInput row length = {over} exceeds the bound {MAX_RANK}\n",
+        ),
+        "gram_rows": (
+            _rank_edited(lambda d: d["pairing"].update(gram=[zero_rows])),
+            f"InvalidInput row count = {over} exceeds the bound {MAX_RANK}\n",
+        ),
+        # malformed at exactly the bound: the errors of the unbounded parser
+        "rank_at_bound": (
+            _rank_edited(lambda d: d.update(rank=MAX_RANK)),
+            "InvalidInput ncols does not match row length\n",
+        ),
+        "phi_rows_at_bound": (
+            _rank_edited(lambda d: d["blocks"][0].update(phi=[[[0], [0]]] * MAX_RANK)),
+            "InvalidInput phi must be square\n",
+        ),
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "lift", "tangent", "normalize"])
+def test_oversized_documents_exit_1_quickly(tmp_path, capsys, command):
+    for name, (doc, err) in _oversized_docs().items():
+        path = write_doc(tmp_path, f"{name}.json", doc)
+        start = time.perf_counter()
+        code = main([command, path])
+        elapsed = time.perf_counter() - start
+        assert (name, code) == (name, 1)
+        assert elapsed < 1.0, (name, elapsed)
+        assert capsys.readouterr() == ("", err), name
 
 
 def _broken_inputs(tmp_path):

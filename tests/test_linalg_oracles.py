@@ -31,6 +31,8 @@ from flab.modules import FLBlock, FLModule, validate
 from flab.pairing import LData, PairedFLModule, validate_pairing
 from flab.rings import Ring, RingElem, make_field, make_ring
 
+F2 = make_field(2)
+F3 = make_field(3)
 F5 = make_field(5)
 F9 = make_field(9)
 F25 = make_field(25)
@@ -266,17 +268,34 @@ def echelon_kernel_basis(a):
     return basis, len(pivot_cols)
 
 
-@pytest.mark.parametrize("ring", (F5, F9, F25), ids=repr)
+# every matrix of these shapes over the smallest fields, where the random
+# draws above rarely meet the rank-deficient patterns
+EXHAUSTIVE_SHAPES = {F3: ((3, 3), (2, 4)), F2: ((3, 3), (2, 4), (3, 4))}
+
+
+def all_matrices(ring):
+    elements = [x.data for x in ring.elements()]
+    for n, m in EXHAUSTIVE_SHAPES[ring]:
+        for entries in itertools.product(elements, repeat=n * m):
+            yield Matrix._from_data(ring, [entries[i * m : (i + 1) * m] for i in range(n)], m)
+
+
+@pytest.mark.parametrize("ring", (F5, F9, F25, F3, F2), ids=repr)
 def test_field_kernel_is_the_reduced_echelon_basis(ring):
-    rng = random.Random(7)
-    for _ in range(20):
-        for a in field_matrices(ring, rng):
-            basis, rank = echelon_kernel_basis(a)
-            assert [tuple(x.data for x in g) for g in a.kernel_gens()] == basis
-            assert a.rank_field() == rank == a.ncols - len(basis)
-            zero_col = Matrix.zero(ring, a.nrows, 1)
-            for v in basis:
-                assert a * Matrix._from_data(ring, [[x] for x in v], 1) == zero_col
+    # delta_space's closed form rests on this: it reproduces the basis
+    # kernel_gens gives for the Lie system (tangent module docstring)
+    if ring in EXHAUSTIVE_SHAPES:
+        matrices = all_matrices(ring)
+    else:
+        rng = random.Random(7)
+        matrices = (a for _ in range(20) for a in field_matrices(ring, rng))
+    for a in matrices:
+        basis, rank = echelon_kernel_basis(a)
+        assert [tuple(x.data for x in g) for g in a.kernel_gens()] == basis
+        assert a.rank_field() == rank == a.ncols - len(basis)
+        zero_col = Matrix.zero(ring, a.nrows, 1)
+        for v in basis:
+            assert a * Matrix._from_data(ring, [[x] for x in v], 1) == zero_col
 
 
 def dot(ring, u, v):

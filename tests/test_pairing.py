@@ -23,7 +23,6 @@ from flab.pairing import (
     LData,
     PairedFLModule,
     change_basis,
-    gram_transform,
     normalize_standard,
     sign_function,
     standard_gram,
@@ -210,13 +209,14 @@ def test_sign_function():
 
 
 def test_gram_transform():
-    ring = make_field(5)
+    p = pcanon2()
+    ring = p.module.ring
     G = standard_gram(ring, 2, -1)
-    assert gram_transform(G, Matrix.identity(ring, 2)) == G
+    assert change_basis(p, [Matrix.identity(ring, 2)]).gram[0] == G
     C = Matrix.diagonal(ring, [ring.from_int(2), ring.from_int(3)])
-    assert gram_transform(G, C) == G
-    with pytest.raises(InvalidInput):
-        gram_transform(G, Matrix(ring, [[1, 0], [0, 0]]))
+    assert change_basis(p, [C]).gram[0] == G
+    with pytest.raises(InvalidInput, match="^change of basis must be invertible$"):
+        change_basis(p, [Matrix(ring, [[1, 0], [0, 0]])])
 
 
 # -- normalization ------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_normalize_odd_orthogonal_over_f7():
         assert result.pairing.gram[0] == omega * standard_gram(ring, 3, 1)
         # exact congruence transform
         C = result.change_of_basis[0]
-        assert gram_transform(paired.gram[0], C) == result.pairing.gram[0]
+        assert C.transpose() * paired.gram[0] * C == result.pairing.gram[0]
         # new basis vectors have unit leading coefficient at their own weight
         for a in range(3):
             assert ring.is_unit(C[a, a])
@@ -279,9 +279,8 @@ def test_normalize_across_rings_and_signs():
             std = standard_gram(ring, rank, epsilon)
             for tau in range(ring.f):
                 assert result.pairing.gram[tau] == result.omega[tau] * std
-                assert gram_transform(
-                    paired.gram[tau], result.change_of_basis[tau]
-                ) == result.pairing.gram[tau]
+                C = result.change_of_basis[tau]
+                assert C.transpose() * paired.gram[tau] * C == result.pairing.gram[tau]
                 if rank % 2 == 0:
                     assert result.omega[tau] == ring.one
             validate_pairing(result.pairing)
@@ -292,7 +291,9 @@ def test_normalize_m_gram_matches_divided_new_gram():
     ring = make_ring("witt", 5, 1, 2)
     paired = random_paired_module(rng, ring, 3, 1)
     result = normalize_standard(paired)
-    m = result.m_matrix(0)
+    # coordinates of φ^{w_i}(new v_i) in the old basis
+    weights = paired.module.blocks[0].weights
+    m = paired.module.blocks[0].phi * divided(result.change_of_basis[0], weights, weights)
     h = m.transpose() * paired.gram[0] * m
     expected = (paired.L.c[0] * result.omega[0]) * standard_gram(ring, 3, 1)
     assert h == expected

@@ -1,4 +1,5 @@
-"""Tangent-space dimensions, the exact sequence, and the orbit-count oracle."""
+"""Tangent-space dimensions, the exact sequence, the orbit-count oracle, and
+the Lie-system kernel as the oracle of delta_space's closed form."""
 
 import hashlib
 import random
@@ -287,6 +288,12 @@ def _basis_cases():
                     yield _near_identity_paired(rng, ring, rank, eps, fprime)
 
 
+def _encoded(ring, basis):
+    """Canonical encodings of every basis entry, as bytes."""
+    encoded = [[[ring.encode(x) for x in m.entries()] for m in elem] for elem in basis]
+    return repr(encoded).encode()
+
+
 def _bases_digest():
     """Digest of the canonical encodings of every basis entry, case by case."""
     digest = hashlib.sha256()
@@ -296,13 +303,91 @@ def _bases_digest():
         fil0 = fil0_subspace(paired, delta)
         end = end_mf_pairing(paired, fil0)
         for basis in (delta, fil0, end):
-            encoded = [
-                [[ring.encode(x) for x in m.entries()] for m in elem] for elem in basis
-            ]
-            digest.update(repr(encoded).encode())
+            digest.update(_encoded(ring, basis))
             digest.update(b"|")
     return digest.hexdigest()
 
 
 def test_tangent_bases_are_frozen():
     assert _bases_digest() == FROZEN_BASES_SHA256
+
+
+def _lie_system_basis(paired):
+    """Reference for delta_space: kernel_gens of the Lie system itself.
+
+    One row per equation (i, j) of A^T G_τ + G_τ A = 0 on the r² unknowns
+    A[u][a] at u r + a, for i <= j (i < j for ε = −1): row (j, i) is ε times
+    row (i, j) once G_τ is ε-symmetric, and for ε = −1 the diagonal rows
+    vanish.  Over W/p^n and k[t]/t^n the kept rows have full row rank mod π,
+    so the sweep's pivots are units and its generators are a basis.
+    """
+    kring = paired.module.ring
+    zeros = [Matrix.zero(kring, blk.rank, blk.rank) for blk in paired.module.blocks]
+    skip_diagonal = 1 if paired.L.epsilon == -1 else 0
+    add = kring._add
+    zero = kring.zero.data
+    basis = []
+    for tau, gram in enumerate(paired.gram):
+        G = gram._raw
+        r = len(G)
+        rows = []
+        for i in range(r):
+            for j in range(i + skip_diagonal, r):
+                row = [zero] * (r * r)
+                for u in range(r):
+                    row[u * r + i] = add(row[u * r + i], G[u][j])
+                    row[u * r + j] = add(row[u * r + j], G[i][u])
+                rows.append(row)
+        system = Matrix._from_data(kring, rows, r * r)
+        for vec in system.kernel_gens():
+            mats = list(zeros)
+            mats[tau] = Matrix(kring, [vec[u * r : (u + 1) * r] for u in range(r)])
+            basis.append(tuple(mats))
+    return basis
+
+
+def _differential_cases():
+    rng = random.Random(31)
+    rings = [make_field(q) for q in (2, 4, 8, 5, 9, 27)] + [
+        make_ring("witt", 3, 1, 3),
+        make_ring("witt", 3, 3, 2),
+        make_ring("dual_numbers", 5, 1, 2),
+        make_ring("dual_numbers", 3, 2, 3),
+    ]
+    for ring in rings:
+        for rank, eps in ((1, 1), (2, -1), (3, 1), (4, -1), (4, 1)):
+            for fprime in sorted({1, ring.f}):
+                yield random_paired_module(rng, ring, rank, eps, witt_degree=fprime)
+        if ring.level == 2:
+            for rank, eps in ((2, -1), (4, 1)):
+                yield _near_identity_paired(rng, ring, rank, eps, ring.f)
+
+
+def test_delta_space_matches_the_lie_system_kernel():
+    for paired in _differential_cases():
+        assert delta_space(paired) == _lie_system_basis(paired)
+
+
+# sha256 of the delta bases of _char2_cases(), recorded when delta_space
+# still solved the Lie system with kernel_gens
+FROZEN_CHAR2_SHA256 = "b354bcb457b9fa0bf650b45d6db806eec288e815eb936372a1204b72b1a33c13"
+
+
+def _char2_cases():
+    rng = random.Random(2)
+    for q in (2, 4, 8):
+        ring = make_field(q)
+        for rank, eps in ((1, 1), (2, 1), (2, -1), (3, 1), (4, 1), (4, -1)):
+            yield random_paired_module(rng, ring, rank, eps)
+
+
+def test_characteristic_two_keeps_the_diagonal():
+    # in characteristic 2, G E_ii is (−ε)-symmetric for both signs, so
+    # dim Δ = r(r + 1)/2 whatever ε is
+    digest = hashlib.sha256()
+    for paired in _char2_cases():
+        delta = delta_space(paired)
+        rank = paired.module.rank
+        assert len(delta) == rank * (rank + 1) // 2
+        digest.update(_encoded(paired.module.ring, delta))
+    assert digest.hexdigest() == FROZEN_CHAR2_SHA256
