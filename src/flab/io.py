@@ -12,7 +12,9 @@ Matrix entries are coefficient vectors: a length-f integer vector for Witt
 rings, a length-level vector of such vectors for dual numbers.
 
 A declared rank, or a phi or gram row count or row length, above MAX_RANK
-is refused before the entries of that matrix are read.
+is refused before the entries of that matrix are read.  The numbers of
+blocks, of twisting entries and of Gram matrices are checked before any
+of them is read.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import json
 
 from .errors import InvalidInput
 from .linalg import Matrix
-from .modules import FLBlock, FLModule
-from .pairing import LData, PairedFLModule
+from .modules import FLBlock, FLModule, check_block_count
+from .pairing import LData, PairedFLModule, check_pairing_counts, check_twist_lengths
 from .rings import MAX_DEGREE, _check_bounded, make_field, make_ring
 
 # flab tangent on a random symplectic module over F_101 took 0.29 s at rank
@@ -136,15 +138,17 @@ def _module_from_dict(doc, ring):
     rank = int(doc["rank"])
     _check_rank("rank", rank)
     bounds = (int(doc["bounds"][0]), int(doc["bounds"][1]))
+    block_docs = doc["blocks"]
+    if len(block_docs) != int(doc["witt_degree"]):
+        raise InvalidInput("witt_degree does not match the number of blocks")
+    check_block_count(ring, len(block_docs))
     blocks = [
         FLBlock(
             tuple(int(w) for w in blk["weights"]),
             matrix_from_rows(ring, blk["phi"], rank),
         )
-        for blk in doc["blocks"]
+        for blk in block_docs
     ]
-    if len(blocks) != int(doc["witt_degree"]):
-        raise InvalidInput("witt_degree does not match the number of blocks")
     return FLModule(ring, bounds, blocks)
 
 
@@ -165,14 +169,15 @@ def paired_from_dict(doc):
     module = _module_from_dict(doc, ring_from_dict(doc["ring"]))
     pdoc = doc["pairing"]
     ring = module.ring
+    s_doc, c_doc, gram_doc = pdoc["L"]["s"], pdoc["L"]["c"], pdoc["gram"]
+    check_twist_lengths(len(s_doc), len(c_doc))
+    check_pairing_counts(module.witt_degree, len(s_doc), len(gram_doc))
     L = LData(
         int(pdoc["epsilon"]),
-        tuple(int(s) for s in pdoc["L"]["s"]),
-        tuple(elem_from_data(ring, c) for c in pdoc["L"]["c"]),
+        tuple(int(s) for s in s_doc),
+        tuple(elem_from_data(ring, c) for c in c_doc),
     )
-    gram = tuple(
-        matrix_from_rows(ring, rows, module.rank) for rows in pdoc["gram"]
-    )
+    gram = tuple(matrix_from_rows(ring, rows, module.rank) for rows in gram_doc)
     return PairedFLModule(module, L, gram)
 
 

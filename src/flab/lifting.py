@@ -84,12 +84,10 @@ class CorrectionSystem:
     """
 
     __slots__ = (
-        "problem",
         "normalized",
         "lifts",
         "omega_lift",
         "c_lift",
-        "lambda_lift",
         "defect",
         "coeff",
         "sign",
@@ -222,12 +220,10 @@ def build_correction_system(prob, initial_lift=None):
         defects.append(Matrix._from_data(kring, rows, rank))
         coeffs.append(module.blocks[tau].phi._map_data(ring._residue_data, kring))
     return CorrectionSystem(
-        problem=prob,
         normalized=base,
         lifts=lifts,
         omega_lift=omega_lift,
         c_lift=c_lift,
-        lambda_lift=lambda_lift,
         defect=tuple(defects),
         coeff=tuple(coeffs),
         sign=sign_function(rank, eps),

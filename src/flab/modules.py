@@ -82,6 +82,14 @@ class FLBlock:
         return f"FLBlock(weights={self.weights}, phi={self.phi!r})"
 
 
+def check_block_count(ring, count):
+    """Raise InvalidInput unless the block count is a positive divisor of f."""
+    if not count:
+        raise InvalidInput("at least one block required")
+    if ring.f % count:
+        raise InvalidInput(f"block count {count} does not divide the ring degree f = {ring.f}")
+
+
 class FLModule:
     """Filtered module in adapted form; immutable."""
 
@@ -89,16 +97,11 @@ class FLModule:
 
     def __init__(self, ring, bounds, blocks):
         blocks = tuple(blocks)
-        if not blocks:
-            raise InvalidInput("at least one block required")
+        check_block_count(ring, len(blocks))
         a, b = bounds
         a, b = int(a), int(b)
         if a > b:
             raise InvalidInput(f"empty weight interval [{a}, {b}]")
-        if ring.f % len(blocks):
-            raise InvalidInput(
-                f"block count {len(blocks)} does not divide the ring degree f = {ring.f}"
-            )
         for blk in blocks:
             if blk.phi.ring != ring:
                 raise RingMismatch("block matrix over the wrong ring")

@@ -53,6 +53,20 @@ from .modules import (
 from .rings import RingElem
 
 
+def check_twist_lengths(n_s, n_c):
+    """Raise InvalidInput unless s and c have the same positive length."""
+    if n_s != n_c or not n_s:
+        raise InvalidInput("s and c must be equal-length nonempty tuples")
+
+
+def check_pairing_counts(fprime, n_s, n_gram):
+    """Raise InvalidInput unless s and the Gram matrices have one entry per block."""
+    if n_s != fprime:
+        raise InvalidInput("twisting datum has the wrong number of blocks")
+    if n_gram != fprime:
+        raise InvalidInput("one Gram matrix per block required")
+
+
 class LData:
     """Twisting datum: per-block weight s_τ and unit c_τ, plus the sign ε."""
 
@@ -63,8 +77,7 @@ class LData:
             raise InvalidInput("epsilon must be +1 or -1")
         s = tuple(int(x) for x in s)
         c = tuple(c)
-        if len(s) != len(c) or not s:
-            raise InvalidInput("s and c must be equal-length nonempty tuples")
+        check_twist_lengths(len(s), len(c))
         for unit in c:
             if not isinstance(unit, RingElem):
                 raise InvalidInput("c entries must be ring elements")
@@ -94,10 +107,7 @@ class PairedFLModule:
     def __init__(self, module, L, gram):
         gram = tuple(gram)
         fprime = module.witt_degree
-        if len(L.s) != fprime:
-            raise InvalidInput("twisting datum has the wrong number of blocks")
-        if len(gram) != fprime:
-            raise InvalidInput("one Gram matrix per block required")
+        check_pairing_counts(fprime, len(L.s), len(gram))
         for tau, g in enumerate(gram):
             if not isinstance(g, Matrix):
                 raise InvalidInput("gram entries must be matrices")

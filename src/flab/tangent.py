@@ -2,7 +2,8 @@
 
 Spaces of endomorphism data are represented as lists of elements, one
 element being a tuple of per-block matrices over the residue field.  Three
-nested spaces are computed, the last two by exact kernel calculations:
+nested spaces are computed, each from the one before; only the last is an
+exact kernel calculation:
 
 * delta_space: A_τ^T G_τ + G_τ A_τ = 0 (the pairing Lie condition);
 * fil0_subspace: additionally weight-adapted (A[u,a] = 0 when w_u < w_a);
@@ -33,11 +34,55 @@ A = ½ G^{-1} M), so the independent Lie rows have full rank mod π: every
 sweep pivot is a unit, the kernel is free, and both routes reduce to the
 field case step by step.
 
-fil0_subspace and end_mf_pairing read each input element once into a flat
-raw vector (blocks concatenated, each row-major).  Their system rows are
-coordinate picks and the residues (A_{στ} Φ_τ)[i][a] − Φ_τ[i][a] A_τ[a][a],
-formed on raw data skipping zeros, and each output element is one raw
-combination (_combine) wrapped into blocks once.
+fil0_subspace is a pick: given the basis delta_space(paired), Fil^0 is
+spanned by the basis elements that vanish on Z, the positions (u, a) with
+w_u < w_a; weights are ascending and, once checked, distinct, so Z is
+u < a and Fil^0 is Δ ∩ {lower triangular}.  "Priority" is delta_space's
+coordinate order (bottom row first, right to left within a row); each basis
+element b has a pivot of value 1, is zero at every coordinate of higher
+priority and at the pivots of the others, so an element X of Δ is
+Σ_b X[pivot of b] · b.
+
+* Shape of G and H.  After validate_pairing the weights are self-dual,
+  w_i + w_{r−1−i} = s, and G[i][j] = 0 where w_i + w_j > s; for distinct
+  weights that is exactly where i + j > r − 1.  So the antidiagonal entries
+  of G are units, and H = G^{-1} vanishes where u + i < r − 1.  With h_i = H^T e_i
+  and V_a = span(e_a, …, e_{r−1}), span(h_0, …, h_j) = V_{r−1−j}.
+* A as a form.  A ↦ B_A(v, w) = ⟨Av, w⟩ = (Av)^T G w is a bijection from Δ
+  onto the (−ε)-symmetric forms: alternating when ε = +1 and p is odd,
+  symmetric with a free diagonal when p = 2.  Since G H^T = ε,
+  (Av)_i = ε B_A(v, h_i).  Hence the rows u > u0 of A vanish iff
+  B_A(·, h_i) = 0 for all i > u0, and A is lower triangular (A V_a ⊆ V_a
+  for all a), that is in Fil^0, iff B_A(h_j, h_i) = 0 whenever
+  i + j < r − 1.
+* A basis element with its pivot on or below the diagonal is in Fil^0.
+  Let b have pivot (u0, a0), a0 <= u0, and let t be its row u0, so
+  t(v) = ε B_b(v, h_{u0}).  The rows of b below u0 vanish, so t(h_j) = 0
+  for j > u0; row u0 vanishes right of a0 and h_j lives in V_{r−1−j}, so
+  t(h_j) = 0 for j < r − 1 − u0.  Set B(h_j, h_{u0}) = ε t(h_j),
+  B(h_{u0}, h_j) = −ε B(h_j, h_{u0}) and every other value 0 (at j = u0
+  both read B_b(h_{u0}, h_{u0})).  This B is of the same kind as B_b and
+  vanishes at (h_j, h_i) for i + j < r − 1, so it is B_Y for a Y in Fil^0
+  whose rows u0, …, r − 1 equal those of b.  Then Y − b expands over
+  pivots of lower priority only, with coefficient 0 at every pivot in Z
+  (Y is zero on Z, b at the other pivots).  Induction from the pivot of
+  lowest priority gives b in Fil^0.
+* The pick is a basis.  By the last step it is the set of basis elements
+  with pivots off Z (one with its pivot in Z is 1 there), and an X in
+  Fil^0 has coefficient X[pivot] = 0 at every pivot in Z, so the pick
+  spans Fil^0.
+* The old solve returned the pick.  In the system of the Z coordinates
+  over delta_basis, the columns of the picked elements are zero and the
+  others hold an identity on the rows of their Z pivots, so kernel_gens
+  returned exactly the unit vectors of the zero columns, in order.  This
+  holds over fields and over W/p^n and k[t]/t^n, where every pivot is a
+  unit: the output is the pick, byte for byte.
+
+end_mf_pairing reads each input element once into a flat raw vector
+(blocks concatenated, each row-major).  Its system rows are the residues
+(A_{στ} Φ_τ)[i][a] − Φ_τ[i][a] A_τ[a][a], formed on raw data skipping zeros,
+and each output element is one raw combination (_combine) wrapped into
+blocks once.
 """
 
 from __future__ import annotations
@@ -116,15 +161,6 @@ def _combine(module, vecs, coeffs):
     return tuple(blocks)
 
 
-def _solve(module, vecs, rows):
-    """Combinations of vecs whose coefficients solve the raw system rows."""
-    system = Matrix._from_data(module.ring, rows, len(vecs))
-    return [
-        _combine(module, vecs, [c.data for c in combo])
-        for combo in system.kernel_gens()
-    ]
-
-
 def delta_space(paired):
     """Basis of per-block A with A^T G_τ + G_τ A = 0, in closed form (module docstring)."""
     validate(paired.module)
@@ -159,25 +195,20 @@ def delta_space(paired):
 
 
 def fil0_subspace(paired, delta_basis):
-    """Sub-basis of the span of delta_basis preserving the filtration."""
+    """The elements of delta_basis that vanish where w_u < w_a, in order.
+
+    delta_basis must be delta_space(paired), the reduced echelon basis: then
+    these elements are a basis of its filtration-preserving part, and the
+    ones a kernel solve on those positions would return (module docstring).
+    With ascending distinct weights the positions are those with u < a.
+    """
     check_multiplicity_free(paired.module)
-    module = paired.module
-    delta_basis = list(delta_basis)
-    if not delta_basis:
-        return []
-    vecs = [_flat(elem) for elem in delta_basis]
-    rows = []
-    for start, blk in zip(_starts(module), module.blocks):
-        weights = blk.weights
-        r = blk.rank
-        for u in range(r):
-            for a in range(r):
-                if weights[u] < weights[a]:
-                    pos = start + u * r + a
-                    rows.append([vec[pos] for vec in vecs])
-    if not rows:
-        return delta_basis
-    return _solve(module, vecs, rows)
+    zero = paired.module.ring.zero.data
+    return [
+        elem
+        for elem in delta_basis
+        if all(x == zero for m in elem for u, row in enumerate(m._raw) for x in row[u + 1 :])
+    ]
 
 
 def end_mf_pairing(paired, fil0_basis=None):
@@ -227,7 +258,11 @@ def end_mf_pairing(paired, fil0_basis=None):
                         res[base + a] = sub(res[base + a], mul(y, d))
             residues.append(res)
         rows.extend([res[pos] for res in residues] for pos in range(r * r))
-    return _solve(module, vecs, rows)
+    system = Matrix._from_data(ring, rows, len(vecs))
+    return [
+        _combine(module, vecs, [c.data for c in combo])
+        for combo in system.kernel_gens()
+    ]
 
 
 def _num_pos_roots(epsilon, rank):
@@ -245,7 +280,8 @@ def tangent_report(paired):
     delta_space validates the module and the pairing, fil0_subspace checks
     for distinct weights, and the weight spread is checked before the end
     space.  The errors and their order are those of checking everything
-    up front, since neither kernel computation can fail on valid input.
+    up front, since neither the Fil^0 pick nor the End kernel computation
+    can fail on valid input.
     """
     delta = delta_space(paired)
     fil0 = fil0_subspace(paired, delta)

@@ -390,6 +390,53 @@ def test_oversized_documents_exit_1_quickly(tmp_path, capsys, command):
         assert capsys.readouterr() == ("", err), name
 
 
+def _many_blocks_docs():
+    """name -> (subcommand, document, stderr) for 50,000 blocks or Gram matrices."""
+    many = 50_000
+    plain = module_to_dict(canon2())
+    paired = paired_to_dict(pcanon2())
+    pairing = paired["pairing"]
+    return {
+        "blocks": (
+            "validate",
+            dict(plain, blocks=plain["blocks"] * many),
+            "InvalidInput witt_degree does not match the number of blocks\n",
+        ),
+        "blocks_and_witt_degree": (
+            "validate",
+            dict(plain, blocks=plain["blocks"] * many, witt_degree=many),
+            f"InvalidInput block count {many} does not divide the ring degree f = 1\n",
+        ),
+        "gram": (
+            "tangent",
+            dict(paired, pairing=dict(pairing, gram=pairing["gram"] * many)),
+            "InvalidInput one Gram matrix per block required\n",
+        ),
+        "twist": (
+            "tangent",
+            dict(paired, pairing=dict(pairing, L={"s": [1] * many, "c": pairing["L"]["c"] * many})),
+            "InvalidInput twisting datum has the wrong number of blocks\n",
+        ),
+        "twist_units": (
+            "tangent",
+            dict(paired, pairing=dict(pairing, L=dict(pairing["L"], c=pairing["L"]["c"] * many))),
+            "InvalidInput s and c must be equal-length nonempty tuples\n",
+        ),
+    }
+
+
+def test_many_blocks_exit_1_quickly(tmp_path, capsys):
+    # the counts are compared before any block, unit or Gram matrix is read
+    for name, (command, doc, err) in _many_blocks_docs().items():
+        path = write_doc(tmp_path, f"{name}.json", doc)
+        start = time.perf_counter()
+        code = main([command, path])
+        elapsed = time.perf_counter() - start
+        assert (name, code) == (name, 1)
+        assert elapsed < 1.0, (name, elapsed)
+        assert capsys.readouterr() == ("", err), name
+
+
 def _broken_inputs(tmp_path):
     """The broken inputs of this file, plus broken pairings: name -> path."""
     plain = module_to_dict(canon2())

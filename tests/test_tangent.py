@@ -1,5 +1,6 @@
-"""Tangent-space dimensions, the exact sequence, the orbit-count oracle, and
-the Lie-system kernel as the oracle of delta_space's closed form."""
+"""Tangent-space dimensions, the exact sequence, the orbit-count oracle, the
+Lie-system kernel as the oracle of delta_space's closed form, and the Fil^0
+kernel solve as the oracle of fil0_subspace's pick."""
 
 import hashlib
 import random
@@ -391,3 +392,61 @@ def test_characteristic_two_keeps_the_diagonal():
         assert len(delta) == rank * (rank + 1) // 2
         digest.update(_encoded(paired.module.ring, delta))
     assert digest.hexdigest() == FROZEN_CHAR2_SHA256
+
+
+def _fil0_by_solve(paired, delta_basis):
+    """Reference for fil0_subspace: kernel_gens of the Fil^0 system.
+
+    One row per position (τ, u, a) with w_u < w_a, one unknown per element
+    of delta_basis; each kernel generator gives the combination of
+    delta_basis with those coefficients.
+    """
+    kring = paired.module.ring
+    blocks = paired.module.blocks
+    rows = [
+        [elem[tau][u, a] for elem in delta_basis]
+        for tau, blk in enumerate(blocks)
+        for u in range(blk.rank)
+        for a in range(blk.rank)
+        if blk.weights[u] < blk.weights[a]
+    ]
+    if not rows or not delta_basis:
+        return list(delta_basis)
+    system = Matrix(kring, rows, ncols=len(delta_basis))
+    out = []
+    for combo in system.kernel_gens():
+        out.append(
+            tuple(
+                sum(
+                    (c * elem[tau] for c, elem in zip(combo, delta_basis)),
+                    Matrix.zero(kring, blk.rank, blk.rank),
+                )
+                for tau, blk in enumerate(blocks)
+            )
+        )
+    return out
+
+
+def test_fil0_pick_matches_the_kernel_solve():
+    cases = [*_differential_cases(), *_basis_cases(), *_char2_cases()]
+    for paired in cases:
+        delta = delta_space(paired)
+        assert fil0_subspace(paired, delta) == _fil0_by_solve(paired, delta)
+
+
+def test_fil0_subspace_solves_nothing(monkeypatch):
+    kernel_gens = Matrix.kernel_gens
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return kernel_gens(self)
+
+    cases = [(paired, delta_space(paired)) for paired in _differential_cases()]
+    monkeypatch.setattr(Matrix, "kernel_gens", counting)
+    for paired, delta in cases:
+        fil0_subspace(paired, delta)
+    assert calls == []
+    paired, delta = cases[-1]
+    end_mf_pairing(paired, fil0_subspace(paired, delta))  # the End solve is seen
+    assert calls
