@@ -136,7 +136,9 @@ def _cmd_validate(args):
 
 
 def _cmd_lift(args):
-    paired = _require_paired(_load_validated(args.path))
+    paired = _load_paired(args.path)
+    # lift_tower validates the pairing, through normalize_standard
+    validate(paired.module)
     family = "dual_numbers" if args.family == "dual" else "witt"
     chain = lift_tower(paired, args.tower_depth, family=family)
     _write(args, dumps_canonical([paired_to_dict(stage) for stage in chain]))

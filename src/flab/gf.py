@@ -120,43 +120,6 @@ def subfield_elements(big, q, d):
     return sorted(out, key=big.encode)
 
 
-def embed_subfield(small, big):
-    """Field embedding small -> big sending the power basis to powers of a root.
-
-    The image generator is the smallest-encoding root in big of the defining
-    polynomial of small, so the embedding is deterministic.
-    """
-    if not small.is_field() or not big.is_field() or small.p != big.p:
-        raise InvalidInput("embeddings require fields of equal characteristic")
-    if big.f % small.f:
-        raise InvalidInput(f"F_{small.size} is not a subfield of F_{big.size}")
-    coeffs = small.minimal_poly
-    root = None
-    for cand in subfield_elements(big, small.p, small.f):
-        acc = big.zero
-        for c in reversed(coeffs):
-            acc = acc * cand + big.from_int(c)
-        if not acc:
-            root = cand
-            break
-    if root is None:
-        raise InternalRankFailure("defining polynomial has no root in the big field")
-    powers = [big.one]
-    for _ in range(small.f - 1):
-        powers.append(powers[-1] * root)
-
-    def embed(x):
-        if x.ring != small:
-            raise InvalidInput("element is not in the source field")
-        acc = big.zero
-        for c, power in zip(x.data, powers):
-            if c:
-                acc = acc + big.from_int(c) * power
-        return acc
-
-    return embed
-
-
 def p_polynomial_value(x, q, period, copies):
     """Evaluate P(X) = sum_{m=0}^{copies-1} X^{q^{m * period}} at x."""
     if period < 1 or copies < 1:

@@ -12,11 +12,16 @@ from canonical lifts.  D_τ lands in I because the base satisfies the axioms;
 identifying I with the residue field k turns each block into a linear system
 over k whose unknowns are the r² entries of Δ_τ.
 
+S enters the system once, as functionals[τ] = S·C_τ over k: column b of
+S·C_τ is the functional x ↦ x^T S C_b, since
+Δ_a^T S C_b = Σ_u Δ[u][a] (S·C)[u][b].
 Grouping equations by their first index a (descending) makes the system
 block-triangular with full-row-rank diagonal blocks (rows are the
 independent functionals S·C_b), so back-substitution always succeeds; for
 orthogonal pairings the diagonal equations (a, a) are included, each with a
-factor 2 (a unit, p odd).
+factor 2 (a unit, p odd).  Since S^T = ε S, the term of equation (a, b) in
+an already solved column b is C_a^T S Δ_b = ε·(column a of S·C)·Δ_b, which
+moves to the right-hand side.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .pairing import (
     _normalize,
     normalize_standard,
     reduce_paired,
-    sign_function,
     standard_gram,
     validate_pairing,
 )
@@ -51,7 +55,7 @@ class LiftProblem:
     weights per block and a weight spread of at most (p-2)/2.
     """
 
-    __slots__ = ("base", "surj", "kernel_elem")
+    __slots__ = ("base", "surj")
 
     def __init__(self, base, surj):
         if base.module.ring != surj.target:
@@ -62,7 +66,6 @@ class LiftProblem:
         check_weight_spread(base.module)
         self.base = base
         self.surj = surj
-        self.kernel_elem = surj.kernel_gen
 
 
 def _checked_problem(base, surj):
@@ -70,7 +73,6 @@ def _checked_problem(base, surj):
     prob = object.__new__(LiftProblem)
     prob.base = base
     prob.surj = surj
-    prob.kernel_elem = surj.kernel_gen
     return prob
 
 
@@ -79,8 +81,9 @@ class CorrectionSystem:
 
     coeff[τ] holds the residue of the (normalized) Φ_τ -- initial-lift
     coefficients only matter through their residues since m_{R′} I = 0;
-    defect[τ] holds the defect constants as residue-field scalars under the
-    kernel identification; sign is the per-index ±1 of the standard form.
+    functionals[τ] = S·coeff[τ] over k, whose column b is the functional
+    x ↦ x^T S C_b; defect[τ] holds the defect constants as residue-field
+    scalars under the kernel identification.
     """
 
     __slots__ = (
@@ -90,7 +93,7 @@ class CorrectionSystem:
         "c_lift",
         "defect",
         "coeff",
-        "sign",
+        "functionals",
         "epsilon",
         "rank",
         "kring",
@@ -104,17 +107,12 @@ class CorrectionSystem:
     def witt_degree(self):
         return len(self.coeff)
 
-    def _functionals(self, tau):
-        # row a of the result is the functional x -> x^T S C_a on k^r
-        std_k = standard_gram(self.kring, self.rank, self.epsilon)
-        return std_k * self.coeff[tau]
+    def diagonal_block(self, tau, a):
+        """Matrix of the equations with first index a acting on Δ column a:
+        row b is column b of functionals[τ], doubled when b = a.
 
-    def diagonal_block(self, tau, a, functionals=None):
-        """Matrix of the equations with first index a acting on Δ column a.
-
-        These are the blocks solve_correction solves; functionals is
-        _functionals(tau) when the caller already holds it."""
-        F = (self._functionals(tau) if functionals is None else functionals)._raw
+        These are the blocks solve_correction solves."""
+        F = self.functionals[tau]._raw
         add = self.kring._add
         rows = []
         start = a if self.epsilon == 1 else a + 1
@@ -130,7 +128,7 @@ class CorrectionSystem:
         r = self.rank
         eps = self.epsilon
         kzero = k.zero.data
-        F = self._functionals(tau)
+        F = self.functionals[tau]._raw
         grid = []
         for i in range(r):
             a = r - 1 - i
@@ -139,12 +137,13 @@ class CorrectionSystem:
             for j in range(r):
                 target = r - 1 - j
                 if target == a:
-                    row_of_blocks.append(self.diagonal_block(tau, a, F))
+                    row_of_blocks.append(self.diagonal_block(tau, a))
                     continue
-                # the equation (a, target) is the only one touching column target
+                # the equation (a, target) is the only one touching column
+                # target, through ε·(column a of S·C)
                 rows = [[kzero] * r for _ in range(start, r)]
                 if target >= start:
-                    col = [row[a] for row in F._raw]
+                    col = [row[a] for row in F]
                     rows[target - start] = col if eps == 1 else [k._sub(kzero, x) for x in col]
                 row_of_blocks.append(Matrix._from_data(k, rows, r))
             grid.append(row_of_blocks)
@@ -192,6 +191,7 @@ def build_correction_system(prob, initial_lift=None):
     std_upper = standard_gram(upper, rank, eps)
     uzero = upper.zero.data
     kring = upper.residue_ring()
+    std_k = standard_gram(kring, rank, eps)
     defects = []
     coeffs = []
     for tau in range(fprime):
@@ -226,22 +226,11 @@ def build_correction_system(prob, initial_lift=None):
         c_lift=c_lift,
         defect=tuple(defects),
         coeff=tuple(coeffs),
-        sign=sign_function(rank, eps),
+        functionals=tuple(std_k * C for C in coeffs),
         epsilon=eps,
         rank=rank,
         kring=kring,
     )
-
-
-def _pair_value(kring, sign, x, y):
-    # x^T S y over the residue field on raw data, S the standard form
-    add, sub, mul = kring._add, kring._sub, kring._mul
-    r = len(x)
-    acc = kring.zero.data
-    for u in range(r):
-        t = mul(x[u], y[r - 1 - u])
-        acc = add(acc, t) if sign[u] == 1 else sub(acc, t)
-    return acc
 
 
 def _solve_full_row_rank(kring, rows, rhs, width):
@@ -261,25 +250,30 @@ def _solve_full_row_rank(kring, rows, rhs, width):
 
 def solve_correction(system):
     """Per-block Δ over k with T(Δ) equal to the defects, by descending
-    back-substitution on the column blocks."""
+    back-substitution on the column blocks: equation (a, b), b > a, moves
+    C_a^T S Δ_b = ε·(column a of S·C)·Δ_b to its right-hand side."""
     k = system.kring
+    add, sub, mul = k._add, k._sub, k._mul
+    kzero = k.zero.data
     r = system.rank
-    sign = system.sign
+    # subtracting ε·x is adding x when ε = -1
+    move = sub if system.epsilon == 1 else add
     deltas = []
     for tau in range(system.witt_degree):
-        ccols = system.coeff[tau].transpose()._raw
+        fcols = system.functionals[tau].transpose()._raw
         dmat = system.defect[tau]._raw
-        F = system._functionals(tau)
         cols = {}
         for a in range(r - 1, -1, -1):
-            block = system.diagonal_block(tau, a, F)
-            rhs = [
-                dmat[a][b] if b == a
-                else k._sub(dmat[a][b], _pair_value(k, sign, ccols[a], cols[b]))
-                for b in range(r - block.nrows, r)
-            ]
+            block = system.diagonal_block(tau, a)
+            rhs = []
+            for b in range(r - block.nrows, r):
+                acc = dmat[a][b]
+                if b != a:
+                    for x, y in zip(fcols[a], cols[b]):
+                        acc = move(acc, mul(x, y))
+                rhs.append(acc)
             cols[a] = (
-                _solve_full_row_rank(k, block._raw, rhs, r) if rhs else [k.zero.data] * r
+                _solve_full_row_rank(k, block._raw, rhs, r) if rhs else [kzero] * r
             )
         deltas.append(
             Matrix._from_data(k, [[cols[a][u] for a in range(r)] for u in range(r)], r)
@@ -288,28 +282,23 @@ def solve_correction(system):
 
 
 def residual(system, deltas):
-    """Per-block E(Δ) - D over k; all zero exactly when Δ solves the system."""
+    """Per-block E(Δ) - D = Δ^T S C + C^T S Δ - D over k; all zero exactly
+    when Δ solves the system.  It forms E from the standard form itself, not
+    from functionals, so it checks solve_correction independently."""
     k = system.kring
     r = system.rank
-    sign = system.sign
+    std_k = standard_gram(k, r, system.epsilon)
+
+    def form(X, Y):
+        return Matrix._from_data(k, _form(X, std_k, Y), r)
+
     out = []
     for tau in range(system.witt_degree):
-        if deltas[tau].ring != k:
+        delta = deltas[tau]
+        if delta.ring != k:
             raise RingMismatch(f"correction block {tau} is not over the residue field")
-        ccols = system.coeff[tau].transpose()._raw
-        dcols = deltas[tau].transpose()._raw
-        defect = system.defect[tau]._raw
-        rows = []
-        for a in range(r):
-            row = []
-            for b in range(r):
-                e = k._add(
-                    _pair_value(k, sign, dcols[a], ccols[b]),
-                    _pair_value(k, sign, ccols[a], dcols[b]),
-                )
-                row.append(k._sub(e, defect[a][b]))
-            rows.append(row)
-        out.append(Matrix._from_data(k, rows, r))
+        C = system.coeff[tau]
+        out.append(form(delta, C) + form(C, delta) - system.defect[tau])
     return tuple(out)
 
 

@@ -7,10 +7,10 @@ local-ring structure explicitly.
 
 RingElem appears only at the API edge.  The public constructor coerces and
 checks every entry of outside input once; the accessors (``rows``,
-``m[i, j]``, ``row``, ``col``, ``cols``, ``entries``) wrap entries on the way
-out.  Arithmetic, transpose, kron, comparison and the eliminations run on
-the ring's ``_add``/``_sub``/``_mul`` and build their result through the
-trusted ``Matrix._from_data``, which skips the per-entry checks.
+``m[i, j]``, ``row``, ``entries``) wrap entries on the way out.
+Arithmetic, transpose, comparison and the eliminations run on the ring's
+``_add``/``_sub``/``_mul`` and build their result through the trusted
+``Matrix._from_data``, which skips the per-entry checks.
 
 One division-free Gauss-Jordan with unit pivots, _gauss_jordan, serves four
 callers, none of which returns a basis:
@@ -112,18 +112,6 @@ class Matrix:
             ring, [[entries[i] if i == j else z for j in range(n)] for i in range(n)], n
         )
 
-    @classmethod
-    def permutation(cls, ring, perm):
-        """P with P e_j = e_{perm[j]}."""
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise InvalidInput(f"{perm!r} is not a permutation")
-        z, o = ring.zero.data, ring.one.data
-        rows = [[z] * n for _ in range(n)]
-        for j, i in enumerate(perm):
-            rows[i][j] = o
-        return cls._from_data(ring, rows, n)
-
     # -- access ----------------------------------------------------------------
 
     @property
@@ -137,13 +125,6 @@ class Matrix:
     def row(self, i):
         ring = self.ring
         return tuple(RingElem(ring, x) for x in self._raw[i])
-
-    def col(self, j):
-        ring = self.ring
-        return tuple(RingElem(ring, row[j]) for row in self._raw)
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
 
     def entries(self):
         for row in self.rows:
@@ -246,40 +227,6 @@ class Matrix:
         return Matrix._from_data(
             self.ring, [[row[j] for row in raw] for j in range(self.ncols)], self.nrows
         )
-
-    def map(self, fn, ring=None):
-        """Entrywise transform; fn returns elements of ring (default: same)."""
-        ring = self.ring if ring is None else ring
-        src = self.ring
-        return self._map_data(lambda x: _coerce_entry(ring, fn(RingElem(src, x))), ring)
-
-    def matvec(self, vec):
-        if len(vec) != self.ncols:
-            raise InvalidInput("vector length differs from ncols")
-        ring = self.ring
-        add, mul = ring._add, ring._mul
-        zero = ring.zero.data
-        v = [_coerce_entry(ring, x) for x in vec]
-        out = []
-        for row in self._raw:
-            acc = zero
-            for a, b in zip(row, v):
-                if a != zero and b != zero:
-                    acc = add(acc, mul(a, b))
-            out.append(RingElem(ring, acc))
-        return tuple(out)
-
-    def kron(self, other):
-        """Kronecker product: result[i*or + k, j*oc + l] = self[i,j] * other[k,l]."""
-        if self.ring != other.ring:
-            raise RingMismatch("matrices over different rings")
-        mul = self.ring._mul
-        out = [
-            [mul(a, b) for a in arow for b in brow]
-            for arow in self._raw
-            for brow in other._raw
-        ]
-        return Matrix._from_data(self.ring, out, self.ncols * other.ncols)
 
     # -- eliminations -----------------------------------------------------------
 

@@ -203,16 +203,6 @@ def check_weight_spread(module):
         )
 
 
-def phi_column(module, tau, i, j):
-    """Reconstructed φ^j(e_{τ,i}) in the basis of block στ, for j <= w_{τ,i}."""
-    blk = module.block(tau)
-    w = blk.weights[i]
-    if j > w:
-        raise InvalidInput(f"φ^{j} is not defined on a weight-{w} vector")
-    scale = module.ring.pi_pow(w - j)
-    return tuple(scale * x for x in blk.phi.col(i))
-
-
 # ---------------------------------------------------------------------------
 # twists, tensor, dual, base change
 

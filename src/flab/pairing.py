@@ -183,15 +183,6 @@ def standard_gram(ring, rank, epsilon):
     return Matrix._from_data(ring, rows, rank)
 
 
-def sign_function(rank, epsilon):
-    """η_h = std[h, h*] as plain ±1 integers."""
-    if epsilon == 1:
-        return (1,) * rank
-    if rank % 2:
-        raise OddRankSymplectic(f"rank {rank} is odd")
-    return tuple(1 if h < rank // 2 else -1 for h in range(rank))
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -111,6 +111,23 @@ def test_lift_defaults_to_one_stage(pcanon2_path, capsys):
     assert len(json.loads(capsys.readouterr().out)) == 1
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lift_validates_the_input_pairing_once(monkeypatch, pcanon2_path, capsys, depth):
+    calls = []
+
+    def counting(paired):
+        calls.append(paired)
+        return validate_pairing(paired)
+
+    for module in (flab.cli, flab.lifting, flab.pairing):
+        monkeypatch.setattr(module, "validate_pairing", counting)
+    assert main(["lift", pcanon2_path, "--tower-depth", str(depth)]) == 0
+    capsys.readouterr()
+    # the input and its normal form, then each lifted level once
+    assert len(calls) == depth + 1
+    assert calls[0] == pcanon2()
+
+
 def test_lift_needs_a_pairing(tmp_path, capsys):
     path = write_doc(tmp_path, "plain.json", module_to_dict(canon2()))
     assert main(["lift", path]) == 1
@@ -483,10 +500,10 @@ def _broken_inputs(tmp_path):
     return paths
 
 
-# exit code and stderr of tangent and normalize on each broken input, the same
-# for both, recorded when both subcommands still validated the whole file
-# before the command ran (the temporary directory reads <tmp>); stdout was
-# empty every time
+# exit code and stderr of tangent, normalize and lift on each broken input, the
+# same for all three, recorded when tangent and normalize still validated the
+# whole file before the command ran (the temporary directory reads <tmp>);
+# stdout was empty every time
 BROKEN_INPUT_OUTCOMES = {
     "plain_module": (1, "InvalidInput this command needs a module file with a pairing block\n"),
     "singular_phi": (1, "SingularPhi block 0\n"),
@@ -513,7 +530,7 @@ BROKEN_INPUT_OUTCOMES = {
 }
 
 
-@pytest.mark.parametrize("command", ["tangent", "normalize"])
+@pytest.mark.parametrize("command", ["tangent", "normalize", "lift"])
 def test_broken_input_errors_are_unchanged(tmp_path, capsys, command):
     outcomes = {}
     for name, path in _broken_inputs(tmp_path).items():

@@ -9,7 +9,6 @@ import pytest
 from flab import errors
 from flab.gf import (
     DEFAULT_SIZE_GUARD,
-    embed_subfield,
     field_generator,
     find_nonvanishing_pair,
     p_polynomial_value,
@@ -158,27 +157,6 @@ def test_subfield_rejects_bad_degrees():
         subfield_generator(big, 3, 1)
     with pytest.raises(errors.InvalidInput):
         subfield_elements(make_ring("witt", 5, 1, 2), 5, 1)
-
-
-def test_embed_subfield_is_a_ring_homomorphism():
-    small = make_field(4)
-    big = make_field(16)
-    embed = embed_subfield(small, big)
-    images = {}
-    for x in small.elements():
-        images[small.encode(x)] = embed(x)
-    assert len({big.encode(v) for v in images.values()}) == 4
-    assert embed(small.one) == big.one
-    for x in small.elements():
-        for y in small.elements():
-            assert embed(x * y) == embed(x) * embed(y)
-            assert embed(x + y) == embed(x) + embed(y)
-    sub = {big.encode(v) for v in subfield_elements(big, 2, 2)}
-    assert {big.encode(v) for v in images.values()} == sub
-    with pytest.raises(errors.InvalidInput):
-        embed(big.one)
-    with pytest.raises(errors.InvalidInput):
-        embed_subfield(make_field(9), big)
 
 
 def test_p_polynomial_frozen_values():

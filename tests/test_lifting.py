@@ -1,5 +1,6 @@
 """Lifting paired modules through one-level surjections and up towers."""
 
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from flab.lifting import (
     residual,
     solve_correction,
 )
+from flab.io import dumps_canonical, paired_to_dict
 from flab.linalg import Matrix
 from flab.modules import FLBlock, FLModule
 from flab.pairing import (
@@ -149,7 +151,37 @@ def test_solver_clears_all_residuals():
             for res in residual(system, deltas):
                 assert res == zero
             with pytest.raises(RingMismatch, match="^correction block 0 is not over"):
-                residual(system, tuple(d.map(upper.lift_from, ring=upper) for d in deltas))
+                residual(
+                    system,
+                    tuple(
+                        Matrix(upper, [[upper.lift_from(x) for x in row] for row in d.rows])
+                        for d in deltas
+                    ),
+                )
+
+
+@pytest.mark.parametrize("family", ["witt", "dual_numbers"])
+@pytest.mark.parametrize("p, rank, eps, s", [(7, 3, 1, 2), (11, 4, -1, 3), (5, 2, -1, 1)])
+def test_residual_sees_a_changed_correction(family, p, rank, eps, s):
+    # E is linear in Δ, and Δ[u][c] enters E only through row c and column c
+    # of Δ^T S C + C^T S Δ: there it adds (S·C)[u][b] at (c, b) and
+    # ε (S·C)[u][b] at (b, c), which cancel at (c, c) when ε = -1
+    rng = random.Random(19)
+    surj = make_small_surjection(make_ring(family, p, 1, 2))
+    paired = random_paired_module(rng, surj.target, rank, eps, s=s)
+    system = build_correction_system(LiftProblem(paired, surj))
+    (delta,) = solve_correction(system)
+    k = system.kring
+    sc = standard_gram(k, rank, eps) * system.coeff[0]
+    for u in range(rank):
+        for c in range(rank):
+            rows = [list(row) for row in delta.rows]
+            rows[u][c] = rows[u][c] + k.one
+            (res,) = residual(system, (Matrix(k, rows),))
+            changed = {(a, b) for a in range(rank) for b in range(rank) if res[a, b] != k.zero}
+            assert all(c in pos for pos in changed)
+            if eps == 1 or any(sc[u, b] != k.zero for b in range(rank) if b != c):
+                assert changed
 
 
 def test_defect_perturbation_is_linear_and_local():
@@ -159,7 +191,7 @@ def test_defect_perturbation_is_linear_and_local():
     prob = LiftProblem(paired, make_small_surjection(upper))
     sys0 = build_correction_system(prob)
     C = sys0.lifts[0]
-    g = prob.kernel_elem
+    g = prob.surj.kernel_gen
 
     def lifts_with(scale):
         rows = [
@@ -189,7 +221,7 @@ def test_defect_symmetry_check_reads_both_triangles(monkeypatch, eps, rank, s):
     upper = make_ring("witt", 11, 1, 2)
     prob = LiftProblem(paired, make_small_surjection(upper))
     base = build_correction_system(prob).defect[0]
-    g = prob.kernel_elem.data
+    g = prob.surj.kernel_gen.data
     form = flab.lifting._form
     for i in range(rank):
         for j in range(rank):
@@ -209,6 +241,53 @@ def test_defect_symmetry_check_reads_both_triangles(monkeypatch, eps, rank, s):
                     InternalRankFailure, match="^defect of block 0 lost ε-symmetry$"
                 ):
                     build_correction_system(prob)
+
+
+# sha256 of the solve_correction outputs and the lift_tower chains of
+# _lift_cases(), recorded when the lift still paired through the per-index
+# signs of the standard form
+FROZEN_LIFT_SHA256 = "03220ef32a07fe085acb44c6815af6c8ad7e98cd51d7bdcf33fe2b4b6fc8a704"
+
+# the least prime p with weights 0..rank-1 inside the spread (p-2)/2
+LIFT_PRIMES = {1: 3, 2: 5, 3: 7, 4: 11, 5: 11, 6: 13}
+
+
+def _lift_cases():
+    """(family, base, depth) over F_p and F_{p^2}: both families, ε = ±1,
+    f' = f <= 2, ranks 1-6 (even when ε = -1), two bases per shape, depths
+    2-4."""
+    rng = random.Random(2026)
+    for family in ("witt", "dual_numbers"):
+        for eps in (1, -1):
+            for fprime in (1, 2):
+                for rank in range(1, 7) if eps == 1 else (2, 4, 6):
+                    field = make_field(LIFT_PRIMES[rank] ** fprime)
+                    for _ in range(2):
+                        base = random_paired_module(
+                            rng, field, rank, eps, witt_degree=fprime, s=rank - 1
+                        )
+                        yield family, base, rng.choice((2, 3, 4))
+
+
+def _lift_digest():
+    """Digest of every correction Δ and every stage of every chain."""
+    digest = hashlib.sha256()
+    for family, base, depth in _lift_cases():
+        chain = lift_tower(base, depth, family=family)
+        for lower, stage in zip(chain, chain[1:]):
+            surj = make_small_surjection(stage.module.ring)
+            deltas = solve_correction(build_correction_system(LiftProblem(lower, surj)))
+            k = surj.source.residue_ring()
+            digest.update(repr([[k.encode(x) for x in d.entries()] for d in deltas]).encode())
+            digest.update(b"|")
+        for stage in chain:
+            digest.update(dumps_canonical(paired_to_dict(stage)).encode())
+            digest.update(b"|")
+    return digest.hexdigest()
+
+
+def test_lift_outputs_are_frozen():
+    assert _lift_digest() == FROZEN_LIFT_SHA256
 
 
 def test_initial_lift_must_reduce_to_the_base(pcanon2):

@@ -24,7 +24,6 @@ from flab.pairing import (
     PairedFLModule,
     change_basis,
     normalize_standard,
-    sign_function,
     standard_gram,
     validate_pairing,
 )
@@ -199,13 +198,6 @@ def test_standard_gram_is_cached_per_key():
     for _ in range(2):
         with pytest.raises(OddRankSymplectic, match="^rank 3 is odd$"):
             standard_gram(ring, 3, -1)
-
-
-def test_sign_function():
-    assert sign_function(4, 1) == (1, 1, 1, 1)
-    assert sign_function(4, -1) == (1, 1, -1, -1)
-    with pytest.raises(OddRankSymplectic):
-        sign_function(3, -1)
 
 
 def test_gram_transform():
