@@ -19,7 +19,6 @@ fixed space of the d-fold q-power Frobenius.
 
 from __future__ import annotations
 
-import itertools
 import os
 from functools import lru_cache
 from math import lcm
@@ -29,7 +28,6 @@ from .errors import (
     InvalidInput,
     SizeGuardExceeded,
 )
-from .linalg import Matrix
 from .rings import _split_prime_power, make_field
 
 DEFAULT_SIZE_GUARD = 2**24
@@ -60,18 +58,13 @@ def field_generator(field):
     return field.elem(field._generator_data())
 
 
-def _check_subfield_degree(big, q, d):
+def subfield_generator(big, q, d):
+    """Generator of the units of the copy of F_{q^d} inside the field big."""
     p, e = prime_power(q)
     if not big.is_field() or big.p != p:
         raise InvalidInput("ambient ring is not a field of the right characteristic")
     if d < 1 or big.f % (e * d):
         raise InvalidInput(f"F_{q ** d} is not a subfield of F_{big.size}")
-    return p, e
-
-
-def subfield_generator(big, q, d):
-    """Generator of the units of the copy of F_{q^d} inside the field big."""
-    _check_subfield_degree(big, q, d)
     return field_generator(big) ** ((big.size - 1) // (q**d - 1))
 
 
@@ -83,41 +76,6 @@ def q_power_frobenius(x, q, times=1):
     for _ in range(e * times):
         x = x.ring.frobenius(x)
     return x
-
-
-def subfield_elements(big, q, d):
-    """All q^d elements of the copy of F_{q^d} inside big, ascending encoding.
-
-    Computed independently of the generator route: the subfield is the kernel
-    of the F_p-linear map x |-> x^{q^d} - x on a power basis of big.
-    """
-    p, e = _check_subfield_degree(big, q, d)
-    n = big.f
-    fp = make_field(p)
-    columns = []
-    for i in range(n):
-        basis_vec = big.elem(tuple(1 if j == i else 0 for j in range(n)))
-        diff = q_power_frobenius(basis_vec, q, d) - basis_vec
-        columns.append(diff.data)
-    mat = Matrix(
-        fp,
-        [[fp.from_int(columns[j][i]) for j in range(n)] for i in range(n)],
-        ncols=n,
-    )
-    kernel = mat.kernel_gens()
-    if len(kernel) != e * d:
-        raise InternalRankFailure("subfield fixed space has the wrong dimension")
-    gens = [big.elem(tuple(int(v.data[0]) for v in vec)) for vec in kernel]
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(gens)):
-        acc = big.zero
-        for c, gen in zip(coeffs, gens):
-            if c:
-                acc = acc + big.from_int(c) * gen
-        out.append(acc)
-    if len({x.data for x in out}) != q**d:
-        raise InternalRankFailure("subfield enumeration produced collisions")
-    return sorted(out, key=big.encode)
 
 
 def p_polynomial_value(x, q, period, copies):

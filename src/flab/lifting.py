@@ -121,34 +121,6 @@ class CorrectionSystem:
             rows.append([add(x, x) for x in col] if b == a else col)
         return Matrix._from_data(self.kring, rows, self.rank)
 
-    def block_grid(self, tau):
-        """T as position blocks: grid[i][j] maps Δ column a_j = r-1-j into the
-        equation group with first index a_i = r-1-i."""
-        k = self.kring
-        r = self.rank
-        eps = self.epsilon
-        kzero = k.zero.data
-        F = self.functionals[tau]._raw
-        grid = []
-        for i in range(r):
-            a = r - 1 - i
-            start = a if eps == 1 else a + 1
-            row_of_blocks = []
-            for j in range(r):
-                target = r - 1 - j
-                if target == a:
-                    row_of_blocks.append(self.diagonal_block(tau, a))
-                    continue
-                # the equation (a, target) is the only one touching column
-                # target, through ε·(column a of S·C)
-                rows = [[kzero] * r for _ in range(start, r)]
-                if target >= start:
-                    col = [row[a] for row in F]
-                    rows[target - start] = col if eps == 1 else [k._sub(kzero, x) for x in col]
-                row_of_blocks.append(Matrix._from_data(k, rows, r))
-            grid.append(row_of_blocks)
-        return grid
-
 
 def build_correction_system(prob, initial_lift=None):
     """Normalize the base, lift canonically (or take the given lift), and

@@ -3,7 +3,8 @@
 Spaces of endomorphism data are represented as lists of elements, one
 element being a tuple of per-block matrices over the residue field.  Three
 nested spaces are computed, each from the one before; only the last is an
-exact kernel calculation:
+exact kernel calculation.  Over a field tangent_report builds none of them:
+it counts their dimensions from pivots (see "Counting over a field" below).
 
 * delta_space: A_τ^T G_τ + G_τ A_τ = 0 (the pairing Lie condition);
 * fil0_subspace: additionally weight-adapted (A[u,a] = 0 when w_u < w_a);
@@ -77,6 +78,42 @@ priority and at the pivots of the others, so an element X of Δ is
   returned exactly the unit vectors of the zero columns, in order.  This
   holds over fields and over W/p^n and k[t]/t^n, where every pivot is a
   unit: the output is the pick, byte for byte.
+
+Counting over a field.  tangent_report needs only the three dimensions.
+
+* Δ and Fil^0 from pivots.  The pivot columns of _gauss_jordan are fixed
+  before the rows above a pivot are touched: the pivot search reads only the
+  rows from the next pivot position down, and those rows are updated alike
+  with and without forward_only.  So the forward elimination of the rows
+  G^{-1}(E_ij − ε E_ji) has the pivot columns of delta_space's reduced
+  echelon form: dim Δ is their number, and since the Fil^0 pick keeps the
+  basis elements with pivots off Z, dim Fil^0 is the number of pivots (u, a)
+  with u >= a.  After the r columns of one row of A are eliminated, the rows
+  below the pivots vanish there, so the elimination goes on with those
+  columns and the pivot rows cut off, one row of A at a time.
+* End on the torus (Fulton–Harris, Lectures 16 and 18).  An End element A
+  lies in Fil^0, so with distinct weights diag(A_τ) = d_τ determines
+  A_{στ} = X_τ := Φ_τ diag(d_τ) Φ_τ^{-1}.  Over k, divided(G_τ) is the
+  antidiagonal part G°_τ of G_τ, so validate_pairing has checked
+  Φ_τ^T G_{στ} Φ_τ = c_τ G°_τ, with the antidiagonal entries of G_τ units.
+  Conjugating by Φ_τ, X_τ^T G_{στ} + G_{στ} X_τ = 0 reads
+  D G°_τ + G°_τ D = 0 for D = diag(d_τ), that is
+  (d_i + d_{r−1−i}) · G°_τ[i][r−1−i] = 0; and each step can be read
+  backwards, so a d_τ with d_i + d_{r−1−i} = 0 gives an X_τ in the Lie
+  algebra of G_{στ}.  So d_τ ranges over the Cartan: d_i = −d_{r−1−i} and
+  the middle entry 0 when p is odd, d_{r−1−i} = d_i and the middle entry
+  free when p = 2.  End is then isomorphic to the (d_τ) in the Cartan with
+  each X_τ lower triangular and diag(X_τ) = d_{στ}; its dimension is the
+  number of unknowns minus the rank of those linear equations, from one
+  more forward elimination.  The same identity gives Φ_τ^{-1} with no
+  elimination: Φ_τ^{-1} = c_τ^{-1} (G°_τ)^{-1} Φ_τ^T G_{στ}, where
+  (G°_τ)^{-1} has the entry 1 / G_τ[r−1−m][m] at (m, r−1−m) and zeros
+  elsewhere.
+
+Both counts are eliminations on the input's G and Φ, not the closed forms
+of the proofs, so formula_check still tests computed numbers against the
+root count; delta_space, fil0_subspace and end_mf_pairing stay public as
+their reference.  Off a field tangent_report builds the three spaces.
 
 end_mf_pairing reads each input element once into a flat raw vector
 (blocks concatenated, each row-major).  Its system rows are the residues
@@ -161,28 +198,35 @@ def _combine(module, vecs, coeffs):
     return tuple(blocks)
 
 
+def _delta_rows(kring, G, epsilon, tau):
+    """The rows G^{-1}(E_ij − ε E_ji) spanning Δ_τ (i < j, and i = j when
+    ε = −1 or p = 2), the entry (u, a) of each at index r² − 1 − (u r + a)."""
+    H = G.inverse(error=InternalRankFailure(f"Gram block {tau} is singular"))._raw
+    r = len(H)
+    first_j = 0 if epsilon == -1 or kring.p == 2 else 1
+    minus_eps = kring.from_int(-epsilon).data
+    rows = []
+    for i in range(r):
+        for j in range(i + first_j, r):
+            row = [kring.zero.data] * (r * r)
+            for u in range(r):
+                row[-1 - u * r - j] = H[u][i]
+                if j != i:
+                    row[-1 - u * r - i] = kring._mul(minus_eps, H[u][j])
+            rows.append(row)
+    return rows
+
+
 def delta_space(paired):
     """Basis of per-block A with A^T G_τ + G_τ A = 0, in closed form (module docstring)."""
     validate(paired.module)
     validate_pairing(paired)
     kring = paired.module.ring
     zeros = [Matrix.zero(kring, blk.rank, blk.rank) for blk in paired.module.blocks]
-    first_j = 0 if paired.L.epsilon == -1 or kring.p == 2 else 1
-    minus_eps = kring.from_int(-paired.L.epsilon).data
     basis = []
     for tau, G in enumerate(paired.gram):
-        H = G.inverse(error=InternalRankFailure(f"Gram block {tau} is singular"))._raw
-        r = len(H)
-        rows = []
-        for i in range(r):
-            for j in range(i + first_j, r):
-                # G^{-1}(E_ij − ε E_ji) with its entry (u, a) at index r² − 1 − (u r + a)
-                row = [kring.zero.data] * (r * r)
-                for u in range(r):
-                    row[-1 - u * r - j] = H[u][i]
-                    if j != i:
-                        row[-1 - u * r - i] = kring._mul(minus_eps, H[u][j])
-                rows.append(row)
+        r = G.nrows
+        rows = _delta_rows(kring, G, paired.L.epsilon, tau)
         rows, pivot_cols = _gauss_jordan(kring, rows, r * r)
         if len(pivot_cols) < len(rows):
             raise InternalRankFailure(f"delta space of block {tau} lost rank")
@@ -277,6 +321,83 @@ def end_mf_pairing(paired, fil0_basis=None):
     ]
 
 
+def _count_delta_fil0(paired):
+    """(dim Δ, dim Fil^0) of a checked pairing over a field, from the pivots
+    of delta_space's rows (module docstring)."""
+    k = paired.module.ring
+    r = paired.module.rank
+    dim_delta = dim_fil0 = 0
+    for tau, G in enumerate(paired.gram):
+        rows = _delta_rows(k, G, paired.L.epsilon, tau)
+        spanning = len(rows)
+        pivots = 0
+        # row u = r − 1 − b of A is columns b r, …, b r + r − 1; the rows left
+        # below the pivots vanish on a finished row of A, which is cut off
+        for b in range(r):
+            rows, pivot_cols = _gauss_jordan(k, rows, r, forward_only=True)
+            pivots += len(pivot_cols)
+            # the pivot in column c is at (u, a) = (r − 1 − b, r − 1 − c)
+            dim_fil0 += sum(1 for c in pivot_cols if c >= b)
+            rows = [row[r:] for row in rows[len(pivot_cols) :]]
+        if pivots < spanning:
+            raise InternalRankFailure(f"delta space of block {tau} lost rank")
+        dim_delta += pivots
+    return dim_delta, dim_fil0
+
+
+def _torus_end_dim(paired):
+    """dim End of a checked pairing over a field with distinct weights, as
+    the nullity of the torus system (module docstring)."""
+    module = paired.module
+    k = module.ring
+    add, sub, mul = k._add, k._sub, k._mul
+    zero, one = k.zero.data, k.one.data
+    r = module.rank
+    fprime = module.witt_degree
+    # d_τ = diag(A_τ) in the Cartan: d_m = sign · t_slot, slot = min(m, r − 1 − m),
+    # with sign −1 past the middle when p is odd, where the middle entry is 0;
+    # the unknowns t of block τ are columns τ·width + slot
+    width = (r + 1) // 2 if k.p == 2 else r // 2
+    minus_one = sub(zero, one)
+    torus = [
+        (m, min(m, r - 1 - m), minus_one if m > r - 1 - m and k.p != 2 else one)
+        for m in range(r)
+        if m != r - 1 - m or k.p == 2
+    ]
+    rows = []
+    for tau, blk in enumerate(module.blocks):
+        stau = (tau + 1) % fprime
+        phi = blk.phi._raw
+        gram = paired.gram[tau]._raw
+        c = paired.L.c[tau].data
+        # row m of Φ_τ^{-1} = c_τ^{-1} (G°_τ)^{-1} Φ_τ^T G_{στ} is row r − 1 − m
+        # of Φ_τ^T G_{στ} over c_τ G_τ[r − 1 − m][m]
+        phit_g = (blk.phi.transpose() * paired.gram[stau])._raw
+        terms = []
+        for m, slot, sign in torus:
+            scale = mul(sign, k._inv(mul(c, gram[r - 1 - m][m])))
+            inv_row = [(a, mul(scale, x)) for a, x in enumerate(phit_g[r - 1 - m]) if x != zero]
+            terms.append((m, tau * width + slot, inv_row))
+        diagonal = {m: (stau * width + slot, sign) for m, slot, sign in torus}
+        # X_τ = Φ_τ diag(d_τ) Φ_τ^{-1}: entries (i, a), a >= i, are 0 above
+        # the diagonal and d_{στ} on it
+        for i in range(r):
+            eqs = [[zero] * (fprime * width) for _ in range(i, r)]
+            for m, col, inv_row in terms:
+                y = phi[i][m]
+                if y != zero:
+                    for a, x in inv_row:
+                        if a >= i:
+                            eq = eqs[a - i]
+                            eq[col] = add(eq[col], mul(y, x))
+            if i in diagonal:
+                col, sign = diagonal[i]
+                eqs[0][col] = sub(eqs[0][col], sign)
+            rows.extend(eqs)
+    _, pivot_cols = _gauss_jordan(k, rows, fprime * width, forward_only=True)
+    return fprime * width - len(pivot_cols)
+
+
 def _num_pos_roots(epsilon, rank):
     if epsilon == -1:
         return root_data(GroupType("GSp", rank)).num_pos_roots
@@ -288,26 +409,41 @@ def _num_pos_roots(epsilon, rank):
 def tangent_report(paired):
     """All four dimensions of the exact sequence plus the root-count check.
 
-    Each input check runs once, in the first space that needs it:
+    Over a field the four input checks run up front: validate,
+    validate_pairing, check_multiplicity_free and check_weight_spread.
+    The dimensions are then counted from pivots, dim Δ and dim Fil^0 from
+    the elimination of delta_space's spanning rows and dim End from the
+    torus system (module docstring); no basis is built.  Over W/p^n and
+    k[t]/t^n the three spaces are built by delta_space, fil0_subspace and
+    end_mf_pairing, and each check runs in the first space that needs it:
     delta_space validates the module and the pairing, fil0_subspace checks
     for distinct weights, and the weight spread is checked before the end
-    space.  The errors and their order are those of checking everything
-    up front, since neither the Fil^0 pick nor the End kernel computation
-    can fail on valid input.
+    space.  On both paths the errors and their order are those of checking
+    everything up front, since no count, pick or kernel computation after
+    the checks can fail on valid input.
     """
-    delta = delta_space(paired)
-    fil0 = fil0_subspace(paired, delta)
-    check_weight_spread(paired.module)
-    end = end_mf_pairing(paired, fil0)
-    fprime = paired.module.witt_degree
-    dim_tangent = len(delta) - len(fil0) + len(end)
-    npos = _num_pos_roots(paired.L.epsilon, paired.module.rank)
+    module = paired.module
+    if module.ring.is_field():
+        validate(module)
+        validate_pairing(paired)
+        check_multiplicity_free(module)
+        check_weight_spread(module)
+        dim_delta, dim_fil0 = _count_delta_fil0(paired)
+        dim_end = _torus_end_dim(paired)
+    else:
+        delta = delta_space(paired)
+        fil0 = fil0_subspace(paired, delta)
+        check_weight_spread(module)
+        dim_delta, dim_fil0 = len(delta), len(fil0)
+        dim_end = len(end_mf_pairing(paired, fil0))
+    dim_tangent = dim_delta - dim_fil0 + dim_end
+    npos = _num_pos_roots(paired.L.epsilon, module.rank)
     return TangentReport(
-        dim_pairing_lie=len(delta),
-        dim_fil0=len(fil0),
-        dim_end_mf_pairing=len(end),
+        dim_pairing_lie=dim_delta,
+        dim_fil0=dim_fil0,
+        dim_end_mf_pairing=dim_end,
         dim_tangent=dim_tangent,
-        formula_check=(dim_tangent - len(end) == fprime * npos),
+        formula_check=(dim_tangent - dim_end == module.witt_degree * npos),
     )
 
 

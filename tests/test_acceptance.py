@@ -158,7 +158,7 @@ def test_03_witt_tower_to_level_six(capsys):
         assert ctx.elapsed < 1.0
 
 
-def test_04_correction_system_structure(capsys):
+def test_04_correction_system_structure(capsys, block_grid):
     with _checked(capsys, "criterion 04 correction-system block structure, 100 systems") as ctx:
         rng = random.Random(404)
         cases = [
@@ -183,7 +183,7 @@ def test_04_correction_system_structure(capsys):
                 LiftProblem(paired, make_small_surjection(upper))
             )
             for tau in range(fprime):
-                grid = system.block_grid(tau)
+                grid = block_grid(system, tau)
                 for i in range(rank):
                     height = i + 1 if eps == 1 else i
                     for j in range(rank):

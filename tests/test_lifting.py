@@ -113,7 +113,7 @@ def test_lift_step_between_higher_levels():
         assert reduce_paired(lifted, surj) == normalize_standard(paired).pairing
 
 
-def test_correction_blocks_are_lower_triangular_with_full_rank():
+def test_correction_blocks_are_lower_triangular_with_full_rank(block_grid):
     rng = random.Random(17)
     cases = [(5, 2, -1, 1), (7, 3, 1, 2), (11, 4, -1, 3), (7, 2, 1, 1)]
     for p, rank, eps, s in cases:
@@ -122,7 +122,7 @@ def test_correction_blocks_are_lower_triangular_with_full_rank():
         system = build_correction_system(
             LiftProblem(paired, make_small_surjection(upper))
         )
-        grid = system.block_grid(0)
+        grid = block_grid(system, 0)
         for i in range(rank):
             height = i + 1 if eps == 1 else i
             for j in range(rank):

@@ -1,8 +1,10 @@
 """Tangent-space dimensions, the exact sequence, the orbit-count oracle, the
-Lie-system kernel as the oracle of delta_space's closed form, and the Fil^0
-kernel solve as the oracle of fil0_subspace's pick."""
+Lie-system kernel as the oracle of delta_space's closed form, the Fil^0
+kernel solve as the oracle of fil0_subspace's pick, and the three spaces as
+the oracle of tangent_report's counts over a field."""
 
 import hashlib
+import json
 import random
 import sys
 
@@ -10,13 +12,14 @@ import pytest
 
 from flab.errors import (
     EnumerationTooLarge,
+    FlabError,
     InvalidInput,
     MultiplicityNotFree,
     RangeViolation,
 )
 from flab.feasibility import GroupType, root_data
 from flab.linalg import Matrix
-from flab.modules import FLBlock, FLModule, validate
+from flab.modules import FLBlock, FLModule, check_weight_spread, validate
 from flab.pairing import (
     LData,
     PairedFLModule,
@@ -25,6 +28,7 @@ from flab.pairing import (
     validate_pairing,
 )
 from flab.tangent import (
+    TangentReport,
     deformation_count,
     delta_space,
     end_mf_pairing,
@@ -450,3 +454,143 @@ def test_fil0_subspace_solves_nothing(monkeypatch):
     paired, delta = cases[-1]
     end_mf_pairing(paired, fil0_subspace(paired, delta))  # the End solve is seen
     assert calls
+
+
+def _diagonal_phi_paired(rng, ring, rank, epsilon, witt_degree):
+    """Pairing with each Φ_τ a torus element of the similitudes of ν_τ S, S
+    the standard form, scrambled by a weight-adapted change of basis.
+
+    End is the torus vectors d with d_i + d_{r−1−i} = 0 that are equal in
+    every block, so for p odd it has dimension ⌊rank/2⌋.
+    """
+    s = rank - 1
+    weights = self_dual_weights(rng, rank, s, 0)
+    std = standard_gram(ring, rank, epsilon)
+    nus = [ring.random_unit(rng) for _ in range(witt_degree)]
+    blocks = []
+    cs = []
+    for tau in range(witt_degree):
+        half = [ring.random_unit(rng) for _ in range(rank // 2)]
+        if rank % 2:
+            root = ring.random_unit(rng)
+            lam, middle = root * root, [root]
+        else:
+            lam, middle = ring.random_unit(rng), []
+        diag = half + middle + [lam * ring.inv(t) for t in reversed(half)]
+        blocks.append(FLBlock(weights, Matrix.diagonal(ring, diag)))
+        cs.append(lam * nus[(tau + 1) % witt_degree] * ring.inv(nus[tau]))
+    module = FLModule(ring, (min(weights), max(weights)), blocks)
+    paired = PairedFLModule(
+        module,
+        LData(epsilon, (s,) * witt_degree, cs),
+        tuple(nu * std for nu in nus),
+    )
+    return change_basis(
+        paired, [random_weight_adapted(ring, weights, rng) for _ in range(witt_degree)]
+    )
+
+
+def _diagonal_phi_cases():
+    rng = random.Random(77)
+    shapes = [
+        (7, 2, -1, 1), (7, 2, 1, 1), (7, 3, 1, 1),
+        (11, 4, -1, 1), (11, 4, 1, 1), (11, 5, 1, 1),
+        (13, 6, -1, 1), (13, 6, 1, 1),
+        (17, 8, -1, 1), (17, 8, 1, 1),
+        (25, 2, -1, 2), (49, 3, 1, 2), (121, 4, -1, 2), (125, 2, -1, 3), (125, 2, 1, 1),
+    ]
+    for q, rank, eps, fprime in shapes:
+        for _ in range(2):
+            yield _diagonal_phi_paired(rng, make_field(q), rank, eps, fprime)
+
+
+def _outcome(fn, paired):
+    """fn(paired)'s dimensions, or the name and message of its error."""
+    try:
+        return fn(paired).as_dict()
+    except FlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _report_from_spaces(paired):
+    """Reference for tangent_report: the lengths of the three bases, with
+    each check in the first space that needs it."""
+    delta = delta_space(paired)
+    fil0 = fil0_subspace(paired, delta)
+    check_weight_spread(paired.module)
+    end = end_mf_pairing(paired, fil0)
+    module = paired.module
+    eps = paired.L.epsilon
+    if eps == 1 and module.rank < 2:
+        npos = 0
+    else:
+        npos = root_data(GroupType("GSp" if eps == -1 else "GO", module.rank)).num_pos_roots
+    dim_tangent = len(delta) - len(fil0) + len(end)
+    return TangentReport(
+        dim_pairing_lie=len(delta),
+        dim_fil0=len(fil0),
+        dim_end_mf_pairing=len(end),
+        dim_tangent=dim_tangent,
+        formula_check=(dim_tangent - len(end) == module.witt_degree * npos),
+    )
+
+
+def _field_cases():
+    cases = [*_basis_cases(), *_differential_cases(), *_char2_cases()]
+    return [paired for paired in cases if paired.module.ring.is_field()]
+
+
+def test_field_report_counts_what_the_spaces_hold():
+    errors = 0
+    for paired in _field_cases():
+        expected = _outcome(_report_from_spaces, paired)
+        assert _outcome(tangent_report, paired) == expected
+        errors += isinstance(expected, str)
+    assert errors
+
+
+def test_field_report_counts_torus_endomorphisms():
+    dims = set()
+    for paired in _diagonal_phi_cases():
+        report = tangent_report(paired)
+        assert report.as_dict() == _report_from_spaces(paired).as_dict()
+        assert report.formula_check
+        dims.add(report.dim_end_mf_pairing)
+    assert dims == {1, 2, 3, 4}
+
+
+def test_field_report_builds_no_space(monkeypatch):
+    fields = _field_cases()
+    chain = random_paired_module(random.Random(5), make_ring("dual_numbers", 5, 1, 2), 2, -1, s=1)
+    spaces = [_count_calls(monkeypatch, fn) for fn in (delta_space, fil0_subspace, end_mf_pairing)]
+    kernel_gens = Matrix.kernel_gens
+    kernels = []
+
+    def counting(self):
+        kernels.append(self)
+        return kernel_gens(self)
+
+    monkeypatch.setattr(Matrix, "kernel_gens", counting)
+    for paired in fields:
+        _outcome(tangent_report, paired)
+    assert spaces == [[], [], []] and kernels == []
+    tangent_report(chain)  # off a field the three spaces are built
+    assert all(spaces) and kernels
+
+
+# sha256 of tangent_report on the chain-ring members of _basis_cases(): each
+# outcome's sorted-key JSON or its error's name and message, recorded before
+# tangent_report counted over fields
+FROZEN_CHAIN_REPORTS_SHA256 = "f110fac71284ae8a57408c1bd97d0b99c88889be07564f100f9b75d470f5e8b8"
+
+
+def test_chain_ring_reports_are_frozen():
+    digest = hashlib.sha256()
+    for paired in _basis_cases():
+        if paired.module.ring.is_field():
+            continue
+        out = _outcome(tangent_report, paired)
+        if isinstance(out, dict):
+            out = json.dumps(out, sort_keys=True)
+        digest.update(out.encode() + b"|")
+    assert digest.hexdigest() == FROZEN_CHAIN_REPORTS_SHA256
