@@ -27,9 +27,10 @@ from .modules import FLBlock, FLModule, check_block_count
 from .pairing import LData, PairedFLModule, check_pairing_counts, check_twist_lengths
 from .rings import MAX_DEGREE, _check_bounded, make_field, make_ring
 
-# flab tangent on a random symplectic module over F_101 took 0.29 s at rank
-# 16, 1.7 s at rank 24 and 9.2 s at rank 32, about rank^5 (2-vCPU Xeon,
-# CPython 3.11); validate, normalize and lift took under 0.1 s at rank 32
+# flab tangent on a random symplectic module over F_101 takes 0.15 s at rank
+# 16, 0.53 s at rank 24 and 1.6 s at rank 32, whole process (medians of 5
+# runs, 2-vCPU host, CPython 3.11.7); validate, normalize and lift take
+# 0.10, 0.12 and 0.17 s at rank 32 (medians of 3)
 MAX_RANK = 32
 
 

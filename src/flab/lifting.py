@@ -27,7 +27,7 @@ moves to the right-hand side.
 from __future__ import annotations
 
 from .errors import InternalRankFailure, InvalidInput, RingMismatch
-from .linalg import Matrix, _form, _gauss_jordan, _scale_pivot_rows
+from .linalg import Matrix, _form, _gauss_jordan
 from .modules import (
     FLBlock,
     FLModule,
@@ -213,7 +213,6 @@ def _solve_full_row_rank(kring, rows, rhs, width):
     work, pivot_cols = _gauss_jordan(kring, work, width)
     if len(pivot_cols) != len(work):
         raise InternalRankFailure("correction block lost full row rank")
-    work = _scale_pivot_rows(kring, work, pivot_cols)
     x = [kring.zero.data] * width
     for row, col in zip(work, pivot_cols):
         x[col] = row[width]

@@ -12,18 +12,23 @@ Arithmetic, transpose, comparison and the eliminations run on the ring's
 ``_add``/``_sub``/``_mul`` and build their result through the trusted
 ``Matrix._from_data``, which skips the per-entry checks.
 
-One division-free Gauss-Jordan with unit pivots, _gauss_jordan, serves four
-callers, none of which returns a basis:
+One Gauss-Jordan with unit pivots, _gauss_jordan, serves every elimination
+over a field and the unit-pivot ones over W/p^n and k[t]/t^n.  It subtracts
+the pivot row only at its nonzero entries.  In full mode each pivot
+is inverted once and its row scaled to the reduced echelon form:
 
-* inverse()       on [A | I], then one inversion per pivot (a square matrix
-                  over a local ring is invertible iff every column has one).
-* is_invertible() the same verdict from the pivot count over the residue field
-                  (Nakayama's lemma); nothing is inverted.
+* inverse()       on [A | I] (a square matrix over a local ring is
+                  invertible iff every column has a unit pivot).
+* kernel_gens()   over a field, the basis read off the reduced rows.
+* lifting._solve_full_row_rank on [T | rhs], and tangent.delta_space.
+
+Forward-only mode counts pivots and inverts nothing; the rows above each
+pivot are left unreduced:
+
+* is_invertible() the verdict from the pivot count over the residue field
+                  (Nakayama's lemma).
 * rank_field()    the pivot count over a residue field.
-* lifting._solve_full_row_rank, on [T | rhs], then one inversion per pivot.
-
-is_invertible() and rank_field() run it forward only: they count pivots, so
-the rows above each pivot are left unreduced.
+* the dimension counts of tangent.tangent_report.
 
 _form(X, G, Y) gives the raw rows of the bilinear form X^T G Y without the
 general product, skipping the zero entries of G and X: against a unit
@@ -33,10 +38,10 @@ Its callers are pairing.validate_pairing (the Φ-compatibility check, upper),
 pairing.change_basis (the new Gram V^T G V) and
 lifting.build_correction_system (the defect C^T S C).
 
-kernel_gens() is the one other elimination: a valuation-pivot sweep whose
-column operations give the torsion generators of the right kernel over W/p^n
-and k[t]/t^n.  Over a residue field its result is the basis read off the
-reduced echelon form: 1 at one free column, 0 at the others.
+_sweep_kernel is the one other elimination: a valuation-pivot sweep whose
+column operations give the torsion generators of the right kernel, for
+kernel_gens over W/p^n and k[t]/t^n.  Over a field it gives the same basis
+as the reduced echelon form; the tests keep it as that differential oracle.
 """
 
 from __future__ import annotations
@@ -248,7 +253,6 @@ class Matrix:
         work, pivot_cols = _gauss_jordan(ring, work, n)
         if len(pivot_cols) < n:
             raise error if error is not None else InvalidInput("matrix is not invertible")
-        work = _scale_pivot_rows(ring, work, pivot_cols)
         return Matrix._from_data(ring, [row[n:] for row in work], n)
 
     def is_invertible(self):
@@ -282,75 +286,107 @@ class Matrix:
     def kernel_gens(self):
         """Generating set of {x : self @ x = 0} as a tuple of column vectors.
 
-        Valuation-pivot elimination (Smith-style): row operations leave the
-        kernel alone, column operations are mirrored on an invertible W with
-        ker(self) = W ker(reduced).  Over a field the result is a basis.
+        Over a field it is the basis read off the reduced echelon form that
+        _gauss_jordan leaves on the pivot rows R: one vector per free column
+        f, ascending, with 1 at f, 0 at the other free columns and -R[i][f]
+        at the pivot column of row i.  Over W/p^n and k[t]/t^n it is the set
+        of torsion generators of _sweep_kernel.
         """
         ring = self.ring
-        sub, mul = ring._sub, ring._mul
+        if not ring.is_field():
+            return _sweep_kernel(self)
+        sub = ring._sub
         zero, one = ring.zero.data, ring.one.data
-        n_ideal = ring.level
-        B = [list(row) for row in self._raw]
-        W = [[one if j == i else zero for j in range(self.ncols)] for i in range(self.ncols)]
-        free_rows = set(range(self.nrows))
-        free_cols = set(range(self.ncols))
-        pivot_val = {}
-        while True:
-            best = None
-            best_val = n_ideal
-            for i in free_rows:
-                for j in free_cols:
-                    x = B[i][j]
-                    if x != zero:
-                        v = ring._val(x)
-                        if v < best_val:
-                            best, best_val = (i, j), v
-                            if v == 0:
-                                break
-                if best_val == 0:
-                    break
-            if best is None:
-                break
-            pi, pj = best
-            pivot = RingElem(ring, B[pi][pj])
-            # a unit pivot is inverted once; a non-unit one divides exactly
-            inv_p = ring.inv(pivot).data if best_val == 0 else None
-
-            def quotient(x):
-                if inv_p is None:
-                    return ring.divide(RingElem(ring, x), pivot).data
-                return mul(x, inv_p)
-
-            # clear the pivot column with row operations
-            for i in range(self.nrows):
-                if i != pi and B[i][pj] != zero:
-                    q = quotient(B[i][pj])
-                    B[i] = [
-                        sub(a, mul(q, b)) if b != zero else a
-                        for a, b in zip(B[i], B[pi])
-                    ]
-            # clear the pivot row with column operations, mirrored on W
-            for j in range(self.ncols):
-                if j != pj and B[pi][j] != zero:
-                    q = quotient(B[pi][j])
-                    for M in (B, W):
-                        for row in M:
-                            if row[pj] != zero:
-                                row[j] = sub(row[j], mul(q, row[pj]))
-            free_rows.discard(pi)
-            free_cols.discard(pj)
-            pivot_val[pj] = best_val
+        n = self.ncols
+        rows, pivot_cols = _gauss_jordan(ring, [list(row) for row in self._raw], n)
+        pivots = list(zip(pivot_cols, rows))
         gens = []
-        for j in range(self.ncols):
-            col = [row[j] for row in W]
-            if j in pivot_val:
-                d = pivot_val[j]
-                if d == 0:
-                    continue
-                scale = ring.pi_pow(n_ideal - d).data
-                col = [mul(scale, x) for x in col]
-            gens.append(tuple(RingElem(ring, x) for x in col))
+        for f in sorted(set(range(n)).difference(pivot_cols)):
+            vec = [zero] * n
+            vec[f] = one
+            for col, row in pivots:
+                x = row[f]
+                if x != zero:
+                    vec[col] = sub(zero, x)
+            gens.append(tuple(RingElem(ring, x) for x in vec))
         return tuple(gens)
+
+
+def _sweep_kernel(matrix):
+    """Generators of the right kernel of a matrix over a local ring.
+
+    Valuation-pivot elimination (Smith-style): row operations leave the
+    kernel alone, column operations are mirrored on an invertible W with
+    ker(matrix) = W ker(reduced).  A pivot of valuation d in column j gives
+    pi^(level - d) times column j of W, none when d = 0, and a column with no
+    pivot gives its column of W.  kernel_gens uses it off a field, for the
+    torsion generators hom_mf returns over W/p^n and k[t]/t^n.
+    """
+    ring = matrix.ring
+    sub, mul = ring._sub, ring._mul
+    zero, one = ring.zero.data, ring.one.data
+    n_ideal = ring.level
+    B = [list(row) for row in matrix._raw]
+    W = [[one if j == i else zero for j in range(matrix.ncols)] for i in range(matrix.ncols)]
+    free_rows = set(range(matrix.nrows))
+    free_cols = set(range(matrix.ncols))
+    pivot_val = {}
+    while True:
+        best = None
+        best_val = n_ideal
+        for i in free_rows:
+            for j in free_cols:
+                x = B[i][j]
+                if x != zero:
+                    v = ring._val(x)
+                    if v < best_val:
+                        best, best_val = (i, j), v
+                        if v == 0:
+                            break
+            if best_val == 0:
+                break
+        if best is None:
+            break
+        pi, pj = best
+        pivot = RingElem(ring, B[pi][pj])
+        # a unit pivot is inverted once; a non-unit one divides exactly
+        inv_p = ring.inv(pivot).data if best_val == 0 else None
+
+        def quotient(x):
+            if inv_p is None:
+                return ring.divide(RingElem(ring, x), pivot).data
+            return mul(x, inv_p)
+
+        # clear the pivot column with row operations
+        for i in range(matrix.nrows):
+            if i != pi and B[i][pj] != zero:
+                q = quotient(B[i][pj])
+                B[i] = [
+                    sub(a, mul(q, b)) if b != zero else a
+                    for a, b in zip(B[i], B[pi])
+                ]
+        # clear the pivot row with column operations, mirrored on W
+        for j in range(matrix.ncols):
+            if j != pj and B[pi][j] != zero:
+                q = quotient(B[pi][j])
+                for M in (B, W):
+                    for row in M:
+                        if row[pj] != zero:
+                            row[j] = sub(row[j], mul(q, row[pj]))
+        free_rows.discard(pi)
+        free_cols.discard(pj)
+        pivot_val[pj] = best_val
+    gens = []
+    for j in range(matrix.ncols):
+        col = [row[j] for row in W]
+        if j in pivot_val:
+            d = pivot_val[j]
+            if d == 0:
+                continue
+            scale = ring.pi_pow(n_ideal - d).data
+            col = [mul(scale, x) for x in col]
+        gens.append(tuple(RingElem(ring, x) for x in col))
+    return tuple(gens)
 
 
 def _form(X, G, Y, upper=False):
@@ -401,51 +437,69 @@ def _form(X, G, Y, upper=False):
 
 
 def _gauss_jordan(ring, rows, width, forward_only=False):
-    """Division-free Gauss-Jordan on the first width columns, in place.
+    """Gauss-Jordan on the first width columns.
 
-    rows is a list of lists of raw data over a local ring.  Columns are taken
-    left to right; each pivots on the first unused row whose entry is a unit,
-    which moves up to the next pivot position, and every other row r with a
-    nonzero entry c in that column becomes p * r - c * (pivot row), p the
-    pivot.  Scaling by the unit p keeps the row span, so no inversion is
-    needed.  Zero entries are skipped in the pivot scan and the update.
-    With forward_only the rows above the pivot are left alone: the pivot
-    search only reads the rows below, so the pivot columns are the same, for
-    callers that only count them.
+    rows is a list of lists of raw data over a local ring, reused as the
+    workspace.  Columns are taken left to right; each pivots on the first
+    unused row whose entry is a unit, which moves up to the next pivot
+    position (over a field every nonzero entry is one).  Only the nonzero
+    entries of the pivot row are read in an update, and zero entries are
+    skipped in the pivot scan.
+
+    Full mode: the pivot p is inverted once, through Ring.inv, and the pivot
+    row scaled by p^{-1}; every other row r with a nonzero entry c in the
+    column becomes r - c * (pivot row).  Pivot rows end with 1 at their pivot
+    and 0 at the other pivot columns: the reduced echelon form there.
+    Forward-only mode inverts nothing: the rows below the pivot with a
+    nonzero c become p * r - c * (pivot row), a unit multiple that keeps the
+    row span, and the rows above are left alone.  The pivot search reads only
+    the rows below, so both modes find the same pivot columns; callers that
+    only count pivots use it.
+
+    Full mode gives the pivot rows of the division-free update p r - c prow
+    on every row, followed by one scaling of each pivot row by the inverse
+    of its pivot.  By induction each row here is a unit multiple of its
+    division-free counterpart: if r = a r' and prow = prow' / p' with p' the
+    counterpart's pivot, then r - c prow = (a / p') (p' r' - c' prow') for
+    c = a c'.  A unit multiple of a unit is a unit and of zero is zero, so
+    the same pivots are chosen in the same order, and at the end a pivot row
+    and its scaled counterpart are unit multiples of each other that are
+    both 1 at the pivot: they are equal entry for entry.  The entry
+    c - c * 1, or p c - c p, in the pivot column is set to zero directly.
     Returns (rows, pivot_cols) with rows[i] the pivot row of pivot_cols[i].
     """
     sub, mul, is_unit = ring._sub, ring._mul, ring._is_unit
     zero, one = ring.zero.data, ring.one.data
+    field = ring.is_field()
+    nrows = len(rows)
     pivot_cols = []
     for col in range(width):
         top = len(pivot_cols)
-        for sel in range(top, len(rows)):
+        for sel in range(top, nrows):
             x = rows[sel][col]
-            if x != zero and is_unit(x):
+            if x != zero and (field or is_unit(x)):
                 break
         else:
             continue
-        rows[top], rows[sel] = rows[sel], rows[top]
-        pivot_row = rows[top]
+        pivot_row = rows[sel]
+        rows[sel] = rows[top]
         p = pivot_row[col]
-        for i in range(top + 1 if forward_only else 0, len(rows)):
+        if not forward_only:
+            s = ring.inv(RingElem(ring, p)).data
+            if s != one:
+                pivot_row = [mul(s, a) if a != zero else a for a in pivot_row]
+        rows[top] = pivot_row
+        nonzero = [(j, b) for j, b in enumerate(pivot_row) if b != zero and j != col]
+        for i in range(top + 1 if forward_only else 0, nrows):
             row = rows[i]
             c = row[col]
-            if i == top or c == zero:
+            if c == zero or i == top:
                 continue
-            if p != one:
+            if forward_only and p != one:
                 row = [mul(p, a) if a != zero else a for a in row]
-            rows[i] = [sub(a, mul(c, b)) if b != zero else a for a, b in zip(row, pivot_row)]
+                rows[i] = row
+            for j, b in nonzero:
+                row[j] = sub(row[j], mul(c, b))
+            row[col] = zero
         pivot_cols.append(col)
     return rows, pivot_cols
-
-
-def _scale_pivot_rows(ring, rows, pivot_cols):
-    """Scale each pivot row of _gauss_jordan by the inverse of its pivot, one
-    Ring.inv apiece: the reduced echelon form on the pivot columns."""
-    mul = ring._mul
-    zero = ring.zero.data
-    for i, col in enumerate(pivot_cols):
-        s = ring.inv(RingElem(ring, rows[i][col])).data
-        rows[i] = [mul(s, a) if a != zero else a for a in rows[i]]
-    return rows

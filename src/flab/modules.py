@@ -20,7 +20,7 @@ p^{w_u - w_a}.  first_unadapted and divided are the one home of that weight
 shift; morphisms, changes of basis and Gram matrices (row weights s - w_i)
 all go through them.
 
-Operations: validation of the axioms, Tate twist, tensor product, dual
+Operations: validation of the axioms, tensor product, dual
 relative to a rank-1 twisting datum, base change along level maps, and
 morphism spaces.
 """
@@ -204,17 +204,7 @@ def check_weight_spread(module):
 
 
 # ---------------------------------------------------------------------------
-# twists, tensor, dual, base change
-
-
-def tate_twist(module, s):
-    """Shift the filtration: weights and bounds move by +s, Φ is unchanged."""
-    s = int(s)
-    blocks = [
-        FLBlock(tuple(w + s for w in blk.weights), blk.phi) for blk in module.blocks
-    ]
-    a, b = module.bounds
-    return FLModule(module.ring, (a + s, b + s), blocks)
+# tensor, dual, base change
 
 
 def _pair_order(weights1, weights2):

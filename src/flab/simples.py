@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gf import field_generator
 from .linalg import Matrix
-from .modules import FLBlock, FLModule, _pair_order, is_morphism, tensor, validate
+from .modules import FLBlock, FLModule, _pair_order, tensor
 from .rings import make_field
 
 
@@ -175,21 +175,25 @@ def _positions(weights):
 
 
 def _build_cyclic(ring, weights, twist):
-    """Cyclic module on a weight-sorted basis; the e_0 column scaled by twist."""
+    """Cyclic module on a weight-sorted basis; the e_0 column scaled by twist.
+
+    Valid by construction, so validate is not called: it is one block, so no
+    block rank differs; its bounds are the min and max of the weights, so no
+    weight lies outside them; and Φ is monomial with unit entries, so it is
+    invertible.  Column pos[n] of Φ has exactly one nonzero entry, 1 or the
+    unit twist, in row pos[n - 1], and n -> n - 1 and pos are bijections.
+    """
     h = len(weights)
     pos = _positions(weights)
     one = ring.one.data
     rows = [[ring.zero.data] * h for _ in range(h)]
     for n in range(h):
         rows[pos[(n - 1) % h]][pos[n]] = twist.data if n == 0 else one
-    sorted_weights = tuple(sorted(weights))
-    module = FLModule(
+    return FLModule(
         ring,
         (min(weights), max(weights)),
-        [FLBlock(sorted_weights, Matrix._from_data(ring, rows, h))],
+        [FLBlock(tuple(sorted(weights)), Matrix._from_data(ring, rows, h))],
     )
-    validate(module)
-    return module
 
 
 def build_simple(spec, q):
@@ -262,11 +266,57 @@ def summand_embedding(a, b, s, j, q, parts=None):
             rows[tpos[(pos_a[r % a.h], pos_b[(r + s) % b.h])]][pos_src[w]] = coeff
         coeff = ring._mul(coeff, twist.data)
     matrix = Matrix._from_data(ring, rows, hs)
-    if not is_morphism([matrix], source, target):
-        raise InternalRankFailure("summand embedding failed the morphism equations")
-    if matrix.rank_field() != hs:
-        raise InternalRankFailure("summand embedding is not injective")
+    _check_embedding(matrix, source, target)
     return Embedding(source, target, matrix, s, j)
+
+
+def _monomial_columns(phi):
+    """The one nonzero entry of each column of a monomial matrix, as (row,
+    raw value)."""
+    zero = phi.ring.zero.data
+    out = []
+    for col in zip(*phi._raw):
+        [entry] = [(u, x) for u, x in enumerate(col) if x != zero]
+        out.append(entry)
+    return out
+
+
+def _check_embedding(matrix, source, target):
+    """Raise InternalRankFailure unless matrix E is an injective morphism of
+    the one-block modules source -> target over a field, checked by index.
+
+    Morphism: every nonzero entry of E joins equal weights, as a summand's
+    embedding does, so divided(E) = E and the equations of is_morphism read
+    Φ_tgt E = E Φ_src.  The Φ of a cyclic module and of a tensor product of
+    two is monomial.  For a nonzero E[k][n] = x, with z at row k' the one
+    entry of column k of Φ_tgt and y at row m the one entry of column n of
+    Φ_src, entry (k', n) reads z x on the left and E[k'][m] y on the right,
+    one term each.  Checking these equations at every nonzero of E suffices:
+    they make (k', m) a nonzero of E, and (k, n) -> (k', m) is a bijection of
+    the index pairs, so it maps the nonzeros of E onto themselves, and every
+    entry of either side that is not compared is zero.  Injective: no column
+    is zero and no row is hit twice, so the columns have disjoint supports.
+    The messages are those of the is_morphism and rank_field checks this
+    replaces.
+    """
+    ring = matrix.ring
+    mul = ring._mul
+    zero = ring.zero.data
+    rows = matrix._raw
+    w_src = source.blocks[0].weights
+    w_tgt = target.blocks[0].weights
+    src_cols = _monomial_columns(source.blocks[0].phi)
+    tgt_cols = _monomial_columns(target.blocks[0].phi)
+    entries = [(k, n, x) for k, row in enumerate(rows) for n, x in enumerate(row) if x != zero]
+    for k, n, x in entries:
+        k2, z = tgt_cols[k]
+        m, y = src_cols[n]
+        if w_tgt[k] != w_src[n] or mul(z, x) != mul(rows[k2][m], y):
+            raise InternalRankFailure("summand embedding failed the morphism equations")
+    hit_rows = {k for k, _, _ in entries}
+    hit_cols = {n for _, n, _ in entries}
+    if len(hit_rows) != len(entries) or len(hit_cols) != matrix.ncols:
+        raise InternalRankFailure("summand embedding is not injective")
 
 
 def all_embeddings(a, b, q):

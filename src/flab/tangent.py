@@ -83,10 +83,11 @@ Counting over a field.  tangent_report needs only the three dimensions.
 
 * Δ and Fil^0 from pivots.  The pivot columns of _gauss_jordan are fixed
   before the rows above a pivot are touched: the pivot search reads only the
-  rows from the next pivot position down, and those rows are updated alike
-  with and without forward_only.  So the forward elimination of the rows
-  G^{-1}(E_ij − ε E_ji) has the pivot columns of delta_space's reduced
-  echelon form: dim Δ is their number, and since the Fil^0 pick keeps the
+  rows from the next pivot position down, and with and without forward_only
+  those rows are unit multiples of each other (the _gauss_jordan docstring),
+  so they have their zeros and units in the same places.  So the forward
+  elimination of the rows G^{-1}(E_ij − ε E_ji) has the pivot columns of
+  delta_space's reduced echelon form: dim Δ is their number, and since the Fil^0 pick keeps the
   basis elements with pivots off Z, dim Fil^0 is the number of pivots (u, a)
   with u >= a.  After the r columns of one row of A are eliminated, the rows
   below the pivots vanish there, so the elimination goes on with those
@@ -128,7 +129,7 @@ import itertools
 
 from .errors import EnumerationTooLarge, InternalRankFailure, InvalidInput
 from .feasibility import GroupType, root_data
-from .linalg import Matrix, _gauss_jordan, _scale_pivot_rows
+from .linalg import Matrix, _gauss_jordan
 from .modules import check_multiplicity_free, check_weight_spread, validate
 from .pairing import _normalize, validate_pairing
 
@@ -230,7 +231,7 @@ def delta_space(paired):
         rows, pivot_cols = _gauss_jordan(kring, rows, r * r)
         if len(pivot_cols) < len(rows):
             raise InternalRankFailure(f"delta space of block {tau} lost rank")
-        for row in reversed(_scale_pivot_rows(kring, rows, pivot_cols)):
+        for row in reversed(rows):
             vec = row[::-1]
             mats = list(zeros)
             mats[tau] = Matrix._from_data(kring, [vec[u * r : (u + 1) * r] for u in range(r)], r)

