@@ -49,10 +49,13 @@ from .rings import make_ring, make_small_surjection
 
 
 class LiftProblem:
-    """A valid paired module plus the small surjection to lift through.
+    """A valid paired module in standard form plus the small surjection to
+    lift through.
 
     Construction checks the base once: module and pairing axioms, distinct
-    weights per block and a weight spread of at most (p-2)/2.
+    weights per block and a weight spread of at most (p-2)/2.  It then stores
+    the standard form of the base (each Gram ω_τ · S), so the lift normalizes
+    nothing; a base already in standard form is stored as it is.
     """
 
     __slots__ = ("base", "surj")
@@ -64,12 +67,13 @@ class LiftProblem:
         validate_pairing(base)
         check_multiplicity_free(base.module)
         check_weight_spread(base.module)
-        self.base = base
+        self.base = _normalize(base).pairing
         self.surj = surj
 
 
 def _checked_problem(base, surj):
-    # a LiftProblem whose base the caller has already validated
+    # a LiftProblem whose base the caller has already validated and put in
+    # standard form
     prob = object.__new__(LiftProblem)
     prob.base = base
     prob.surj = surj
@@ -87,7 +91,6 @@ class CorrectionSystem:
     """
 
     __slots__ = (
-        "normalized",
         "lifts",
         "omega_lift",
         "c_lift",
@@ -123,15 +126,14 @@ class CorrectionSystem:
 
 
 def build_correction_system(prob, initial_lift=None):
-    """Normalize the base, lift canonically (or take the given lift), and
-    assemble per-block defects and coefficients over the residue field.
+    """Lift the base canonically (or take the given lift), and assemble
+    per-block defects and coefficients over the residue field.
 
-    prob checked its base when it was built, so the base is normalized
-    without running validate_pairing again."""
+    prob checked its base and put it in standard form when it was built, so
+    ω_τ is entry (0, r-1) of Gram τ, where the standard form S is 1."""
     surj = prob.surj
     upper = surj.source
-    norm = _normalize(prob.base)
-    base = norm.pairing
+    base = prob.base
     module = base.module
     ring = module.ring
     fprime = module.witt_degree
@@ -154,7 +156,7 @@ def build_correction_system(prob, initial_lift=None):
                 raise InvalidInput(
                     f"initial lift block {tau} does not reduce to the normalized Φ"
                 )
-    omega_lift = tuple(upper.lift_from(w) for w in norm.omega)
+    omega_lift = tuple(upper.lift_from(G[0, rank - 1]) for G in base.gram)
     c_lift = tuple(upper.lift_from(c) for c in base.L.c)
     lambda_lift = tuple(
         c_lift[tau] * omega_lift[tau] * upper.inv(omega_lift[(tau + 1) % fprime])
@@ -192,7 +194,6 @@ def build_correction_system(prob, initial_lift=None):
         defects.append(Matrix._from_data(kring, rows, rank))
         coeffs.append(module.blocks[tau].phi._map_data(ring._residue_data, kring))
     return CorrectionSystem(
-        normalized=base,
         lifts=lifts,
         omega_lift=omega_lift,
         c_lift=c_lift,
@@ -275,7 +276,8 @@ def residual(system, deltas):
 
 def lift_small(prob):
     """One-step lift: returns P′ over the source ring, in standard form, with
-    reduce_paired(P′) equal to the normalized base bit-for-bit.
+    reduce_paired(P′) equal to prob.base, the standard form of the base,
+    bit-for-bit.
 
     The result is checked once: module axioms, pairing axioms and the
     reduction to the base."""
@@ -283,7 +285,7 @@ def lift_small(prob):
     deltas = solve_correction(system)
     surj = prob.surj
     upper = surj.source
-    base = system.normalized
+    base = prob.base
     module = base.module
     rank = system.rank
     eps = system.epsilon
@@ -317,9 +319,11 @@ def lift_tower(base, n, family="witt"):
 
     The base must live over the residue field; it is normalized first, so the
     chain starts at its standard form and every successive reduction is exact.
-    normalize_standard validates the base pairing; for n >= 2 the other
-    LiftProblem checks run once on the start, and each lift_small checks
-    only its result, which is the next level's base.
+    normalize_standard validates the base pairing and is the only
+    normalization of the tower: each lift_small returns Grams ω′_τ · S, so
+    every later stage is in standard form by construction.  For n >= 2 the
+    other LiftProblem checks run once on the start, and each lift_small
+    checks only its result, which is the next level's base.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInput("tower depth must be a positive integer")

@@ -27,8 +27,6 @@ morphism spaces.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     BlockRankMismatch,
     InvalidInput,
@@ -40,10 +38,6 @@ from .errors import (
 )
 from .linalg import Matrix
 from .rings import Ring, SmallSurj
-
-# contains_isomorphism tries every combination up to scalars when the residue
-# field size to the number of basis elements is at most this
-ISOMORPHISM_SEARCH_BOUND = 4096
 
 
 class FLBlock:
@@ -430,57 +424,3 @@ def hom_mf(domain, codomain):
             per_block[tau][u][a] = gen[pos].data
         basis.append(tuple(Matrix._from_data(ring, m, rM) for m in per_block))
     return MorphismSpace(domain, codomain, basis)
-
-
-def contains_isomorphism(space):
-    """Whether some R-combination of the basis is invertible in every block.
-
-    A combination of morphisms is a morphism, so a witness needs only
-    is_invertible.  Invertibility is decided on the residue field k
-    (Nakayama's lemma), where the R-combinations reduce to the
-    k-combinations of the reduced basis.  When |k|^n, for n basis elements,
-    is at most ISOMORPHISM_SEARCH_BOUND, one k-combination per line (first
-    nonzero coefficient 1) is tried, so both answers are exact.  Above the
-    bound the basis elements and then 200 seeded random R-combinations are
-    tried: True is exact, False is one-sided.
-    """
-    import random as _random
-
-    domain, codomain = space.domain, space.codomain
-    if domain.rank != codomain.rank:
-        return False
-    ring = domain.ring
-    fprime = domain.witt_degree
-
-    def invertible(maps):
-        return all(m.is_invertible() for m in maps)
-
-    def combination(over, coeffs, basis):
-        acc = [Matrix.zero(over, codomain.rank, domain.rank) for _ in range(fprime)]
-        for c, maps in zip(coeffs, basis):
-            if c:
-                acc = [a + c * m for a, m in zip(acc, maps)]
-        return acc
-
-    n = len(space.basis)
-    kfield = ring.residue_ring()
-    if kfield.size**n <= ISOMORPHISM_SEARCH_BOUND:
-        reduced = [
-            [m._map_data(ring._residue_data, kfield) for m in maps] for maps in space.basis
-        ]
-        elems = list(kfield.elements())
-        lines = (
-            (kfield.zero,) * lead + (kfield.one,) + tail
-            for lead in range(n)
-            for tail in itertools.product(elems, repeat=n - lead - 1)
-        )
-        return any(invertible(combination(kfield, c, reduced)) for c in lines)
-    for maps in space.basis:
-        if invertible(maps):
-            return True
-    rng = _random.Random(0)
-    for _ in range(200):
-        coeffs = [ring.random_element(rng) for _ in space.basis]
-        if invertible(combination(ring, coeffs, space.basis)):
-            return True
-    return False

@@ -10,9 +10,8 @@ Two one-parameter families of finite local rings back every computation:
                     vectors of residue-field elements.
 
 Both families share one element interface (RingElem with operator
-overloading) and provide Frobenius, Teichmueller lifts (witt only), unit
-inversion, unit square roots, and one-step small surjections down the level
-chain.  All values are immutable.
+overloading) and provide Frobenius, unit inversion, unit square roots, and
+one-step small surjections down the level chain.  All values are immutable.
 
 Each ring algorithm is written once, on raw data tuples, and each public
 method once, in Ring: it coerces its arguments, calls a raw helper and wraps
@@ -502,21 +501,6 @@ class Ring:
 
     def frobenius(self, x):
         return RingElem(self, self._frobenius(_coerce(self, x).data))
-
-    def teichmuller(self, x):
-        """Multiplicative lift: the unique y = x mod p with y^{p^f} = y."""
-        if self.family != "witt":
-            raise InvalidInput("teichmuller requires the witt family")
-        k = self._kring
-        if not isinstance(x, int) and x.ring == self:
-            x = self.residue(x)
-        y = self._lift_data(k, _coerce(k, x).data)
-        for _ in range(self.level + 2):
-            y_next = _power(self, y, self.residue_size)
-            if y_next == y:
-                return RingElem(self, y)
-            y = y_next
-        raise InternalRankFailure("Teichmuller iteration did not stabilize")
 
     # -- enumeration ---------------------------------------------------------
 
@@ -1036,8 +1020,10 @@ class SmallSurj:
     """One step down a level chain: source -> target with kernel (kernel_gen).
 
     The kernel is one-dimensional over the residue field k and killed by the
-    maximal ideal of the source; kernel_coefficient / embed_kernel realize
-    the k-module identification of the kernel.
+    maximal ideal of the source.  On raw data, _embed_data sends kappa in k
+    to kappa * kernel_gen and _kernel_data inverts it on the kernel; these
+    are the k-module identification the lift uses.  Reduction and canonical
+    lifts between the two levels are source.reduce_to and source.lift_from.
     """
 
     __slots__ = ("source", "target", "kernel_gen")
@@ -1047,28 +1033,10 @@ class SmallSurj:
         self.target = target
         self.kernel_gen = kernel_gen
 
-    def reduce(self, x):
-        return self.source.reduce_to(x, self.target)
-
-    def lift(self, x):
-        if not isinstance(x, RingElem) or x.ring != self.target:
-            raise RingMismatch("lift expects a target element")
-        return self.source.lift_from(x)
-
-    def embed_kernel(self, kappa):
-        """Residue-field scalar kappa -> kappa * kernel_gen in the source."""
-        kappa = _coerce(self.source.residue_ring(), kappa)
-        return RingElem(self.source, self._embed_data(kappa.data))
-
     def _embed_data(self, kappa):
         src = self.source
         lifted = src._lift_data(src.residue_ring(), kappa)
         return src._mul(lifted, self.kernel_gen.data)
-
-    def kernel_coefficient(self, x):
-        """Inverse of embed_kernel on the kernel ideal."""
-        x = _coerce(self.source, x)
-        return RingElem(self.source.residue_ring(), self._kernel_data(x.data))
 
     def _kernel_data(self, data):
         src = self.source

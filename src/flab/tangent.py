@@ -273,7 +273,7 @@ def end_mf_pairing(paired, fil0_basis=None):
     tests: 48 of 50 elements are morphisms over W/p², 48 of 48 over k[t]/t²
     and 10 of 10 over fields; the smallest failing case is W(F_9)/9, rank 2,
     ε = −1, f′ = 1, weights (0, 1).  Which equations the tangent count wants
-    off a field is open (ROADMAP item 4); the output is left as it is, and
+    off a field is open (ROADMAP item 3); the output is left as it is, and
     the tangent tests pin it by digest.
     """
     if fil0_basis is None:

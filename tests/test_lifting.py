@@ -395,6 +395,43 @@ def test_lift_small_checks_only_its_result(monkeypatch):
     assert calls == [lifted]
 
 
+# -- normalize once -------------------------------------------------------------
+
+
+def _count_normalize(monkeypatch):
+    calls = []
+    original = flab.pairing._normalize
+
+    def counting(paired, unit_reduce=False):
+        calls.append(paired)
+        return original(paired, unit_reduce)
+
+    monkeypatch.setattr(flab.pairing, "_normalize", counting)
+    monkeypatch.setattr(flab.lifting, "_normalize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["witt", "dual_numbers"])
+def test_tower_normalizes_its_base_once(monkeypatch, family):
+    base = random_paired_module(random.Random(41), make_field(7), 3, 1, s=2)
+    calls = _count_normalize(monkeypatch)
+    chain = lift_tower(base, 3, family=family)
+    assert len(chain) == 3
+    assert calls == [base]
+
+
+def test_problem_stores_the_standard_form_and_the_lift_normalizes_nothing(monkeypatch):
+    paired = random_paired_module(random.Random(43), make_field(5), 2, -1, s=1)
+    surj = make_small_surjection(make_ring("witt", 5, 1, 2))
+    prob = LiftProblem(paired, surj)
+    assert prob.base != paired
+    assert prob.base == normalize_standard(paired).pairing
+    calls = _count_normalize(monkeypatch)
+    build_correction_system(prob)
+    lift_small(prob)
+    assert calls == []
+
+
 def _invalid_bases():
     k = make_field(5)
     symmetric = _paired(k, (0, 1), [[1, 0], [0, 1]], -1, 1)

@@ -501,35 +501,6 @@ def test_frobenius_lifts_residue_frobenius():
             assert ring.residue(ring.frobenius(x)) == k.frobenius(ring.residue(x))
 
 
-# -- Teichmuller ---------------------------------------------------------------
-
-
-def test_teichmuller_frozen_values():
-    assert Z25.teichmuller(2) == 7
-    assert Z25.teichmuller(1) == 1
-    assert Z25.teichmuller(-1) == 24
-    assert Z25.teichmuller(0) == 0
-
-
-def test_teichmuller_is_multiplicative_section():
-    k = W9_3.residue_ring()
-    for x in k.elements():
-        t = W9_3.teichmuller(x)
-        assert W9_3.residue(t) == x
-        assert t ** (3**2) == t
-    for x in k.elements():
-        for y in k.elements():
-            if x.data <= y.data:
-                lhs = W9_3.teichmuller(x * y)
-                rhs = W9_3.teichmuller(x) * W9_3.teichmuller(y)
-                assert lhs == rhs
-
-
-def test_teichmuller_rejected_for_dual_numbers():
-    with pytest.raises(InvalidInput):
-        D5_2.teichmuller(1)
-
-
 # -- valuations and enumeration --------------------------------------------------
 
 
@@ -572,22 +543,23 @@ def test_small_surjection_round_trip_and_kernel():
     rng = random.Random(31)
     for source in [Z25, W9_3, D5_2, D9_2]:
         surj = make_small_surjection(source)
-        assert surj.target.level == source.level - 1
-        assert surj.target.family == source.family
+        target = surj.target
+        assert target.level == source.level - 1
+        assert target.family == source.family
         for _ in range(25):
-            x = surj.target.random_element(rng)
-            assert surj.reduce(surj.lift(x)) == x
+            x = target.random_element(rng)
+            assert source.reduce_to(source.lift_from(x), target) == x
         # the kernel generator is killed by the maximal ideal
         assert surj.kernel_gen * source.pi() == source.zero
-        assert surj.reduce(surj.kernel_gen) == surj.target.zero
+        assert source.reduce_to(surj.kernel_gen, target) == target.zero
         k = source.residue_ring()
         for _ in range(25):
             kappa = k.random_element(rng)
-            emb = surj.embed_kernel(kappa)
-            assert surj.reduce(emb) == surj.target.zero
-            assert surj.kernel_coefficient(emb) == kappa
-        with pytest.raises(InvalidInput):
-            surj.kernel_coefficient(source.one)
+            emb = surj._embed_data(kappa.data)
+            assert source.reduce_to(source.elem(emb), target) == target.zero
+            assert surj._kernel_data(emb) == kappa.data
+        with pytest.raises(InvalidInput, match="^element is not in the kernel$"):
+            surj._kernel_data(source.one.data)
 
 
 def test_small_surjection_rejects_level_one():
@@ -651,17 +623,6 @@ def _elem_sqrt(ring, u):
     return s
 
 
-def _elem_teichmuller(ring, x):
-    """The former WittRing.teichmuller on a residue element x."""
-    y = ring.lift_from(x)
-    for _ in range(ring.level + 2):
-        y_next = _elem_pow(y, ring.residue_size)
-        if y_next == y:
-            return y
-        y = y_next
-    raise AssertionError("Teichmuller iteration did not stabilize")
-
-
 def _elem_frobenius_columns(ring):
     """The former Frobenius-root loop: Newton on RingElems for the root of
     the minimal polynomial above theta^p, and its first f powers."""
@@ -700,9 +661,6 @@ def test_raw_unit_algorithms_match_the_ring_element_loops():
             for e in (0, 1, 2, 7, ring.residue_size, ring.size + 1):
                 assert (x**e).data == _elem_pow(x, e).data, (ring, x, e)
             assert (x**-3).data == _elem_pow(_elem_inv(ring, x), 3).data, (ring, x)
-            if ring.family == "witt":
-                expected = _elem_teichmuller(ring, ring.residue(x))
-                assert ring.teichmuller(x).data == expected.data, (ring, x)
 
 
 def test_frobenius_columns_match_the_ring_element_loop(monkeypatch):
@@ -729,9 +687,6 @@ def test_ring_algorithms_do_no_ring_element_arithmetic(monkeypatch):
             (ring.frobenius, (unit + pi,), ring.frobenius(unit + pi)),
         ]
         if ring.family == "witt":
-            calls.append(
-                (ring.teichmuller, (unit,), _elem_teichmuller(ring, ring.residue(unit)))
-            )
             monkeypatch.setattr(ring, "_frob_cols", None)
         cases.append(calls)
 
