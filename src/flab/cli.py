@@ -146,7 +146,7 @@ def _cmd_lift(args):
 
 
 def _cmd_tangent(args):
-    # delta_space validates the module, then the pairing
+    # tangent_report validates the module, then the pairing
     report = tangent_report(_load_paired(args.path))
     _write(args, dumps_canonical(report.as_dict()))
     return 0

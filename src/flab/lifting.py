@@ -83,11 +83,11 @@ def _checked_problem(base, surj):
 class CorrectionSystem:
     """The per-block linear systems determining the correction Δ.
 
-    coeff[τ] holds the residue of the (normalized) Φ_τ -- initial-lift
-    coefficients only matter through their residues since m_{R′} I = 0;
-    functionals[τ] = S·coeff[τ] over k, whose column b is the functional
-    x ↦ x^T S C_b; defect[τ] holds the defect constants as residue-field
-    scalars under the kernel identification.
+    lifts[τ] is the canonical lift C_τ of the normalized Φ_τ, and coeff[τ]
+    its residue, which is all of C_τ the linear operator sees since
+    m_{R′} I = 0; functionals[τ] = S·coeff[τ] over k, whose column b is the
+    functional x ↦ x^T S C_b; defect[τ] holds the defect constants as
+    residue-field scalars under the kernel identification.
     """
 
     __slots__ = (
@@ -125,9 +125,9 @@ class CorrectionSystem:
         return Matrix._from_data(self.kring, rows, self.rank)
 
 
-def build_correction_system(prob, initial_lift=None):
-    """Lift the base canonically (or take the given lift), and assemble
-    per-block defects and coefficients over the residue field.
+def build_correction_system(prob):
+    """Lift the base canonically and assemble per-block defects and
+    coefficients over the residue field.
 
     prob checked its base and put it in standard form when it was built, so
     ω_τ is entry (0, r-1) of Gram τ, where the standard form S is 1."""
@@ -139,23 +139,10 @@ def build_correction_system(prob, initial_lift=None):
     fprime = module.witt_degree
     rank = module.rank
     eps = base.L.epsilon
-    if initial_lift is None:
-        lifts = tuple(
-            blk.phi._map_data(lambda x: upper._lift_data(ring, x), upper)
-            for blk in module.blocks
-        )
-    else:
-        lifts = tuple(initial_lift)
-        if len(lifts) != fprime:
-            raise InvalidInput("one initial lift per block required")
-        for tau, C in enumerate(lifts):
-            if C.ring != upper:
-                raise RingMismatch(f"initial lift block {tau} over the wrong ring")
-            reduced = C._map_data(lambda x: upper._reduce_data(x, ring), ring)
-            if reduced != module.blocks[tau].phi:
-                raise InvalidInput(
-                    f"initial lift block {tau} does not reduce to the normalized Φ"
-                )
+    lifts = tuple(
+        blk.phi._map_data(lambda x: upper._lift_data(ring, x), upper)
+        for blk in module.blocks
+    )
     omega_lift = tuple(upper.lift_from(G[0, rank - 1]) for G in base.gram)
     c_lift = tuple(upper.lift_from(c) for c in base.L.c)
     lambda_lift = tuple(
@@ -251,27 +238,6 @@ def solve_correction(system):
             Matrix._from_data(k, [[cols[a][u] for a in range(r)] for u in range(r)], r)
         )
     return tuple(deltas)
-
-
-def residual(system, deltas):
-    """Per-block E(Δ) - D = Δ^T S C + C^T S Δ - D over k; all zero exactly
-    when Δ solves the system.  It forms E from the standard form itself, not
-    from functionals, so it checks solve_correction independently."""
-    k = system.kring
-    r = system.rank
-    std_k = standard_gram(k, r, system.epsilon)
-
-    def form(X, Y):
-        return Matrix._from_data(k, _form(X, std_k, Y), r)
-
-    out = []
-    for tau in range(system.witt_degree):
-        delta = deltas[tau]
-        if delta.ring != k:
-            raise RingMismatch(f"correction block {tau} is not over the residue field")
-        C = system.coeff[tau]
-        out.append(form(delta, C) + form(C, delta) - system.defect[tau])
-    return tuple(out)
 
 
 def lift_small(prob):

@@ -191,9 +191,10 @@ def validate_pairing(paired):
     """Check all pairing axioms; module validity is the caller's precondition.
 
     The public entry points call it: once on each input pairing
-    (normalize_standard, LiftProblem, delta_space) and once on each pairing
-    they return (normalize_standard, lift_small).  Private paths between
-    them, such as _normalize, do not repeat it.
+    (normalize_standard, LiftProblem, tangent_report over a field,
+    delta_space) and once on each pairing they return (normalize_standard,
+    lift_small).  Private paths between them, such as _normalize, do not
+    repeat it.
     """
     module = paired.module
     L = paired.L
@@ -324,28 +325,29 @@ def normalize_standard(paired, unit_reduce=False):
     the odd-rank ω_τ is further scaled by a unit square to the canonical lift
     of its residue.
 
-    validate_pairing runs here on the input and on the result; module
-    validity stays the caller's precondition.  Callers holding an already
-    validated pairing use _normalize.
+    The input is checked by validate_pairing, then for distinct weights by
+    check_multiplicity_free, and the result by validate_pairing; module
+    validity stays the caller's precondition.  Callers that have made both
+    input checks use _normalize.
     """
     validate_pairing(paired)
+    check_multiplicity_free(paired.module)
     result = _normalize(paired, unit_reduce)
     validate_pairing(result.pairing)
     return result
 
 
 def _normalize(paired, unit_reduce=False):
-    """normalize_standard without the pairing checks; paired must be valid.
+    """normalize_standard without its checks of input and result: paired
+    must be a valid pairing with distinct weights in every block.
 
-    Keeps the multiplicity check and the exact standard-form comparison.  A
-    pairing already in standard form is returned as it is, with identity
-    changes of basis.
+    Keeps the exact standard-form comparison.  A pairing already in standard
+    form is returned as it is, with identity changes of basis.
     """
     module = paired.module
     ring = module.ring
     eps = paired.L.epsilon
     rank = module.rank
-    check_multiplicity_free(module)
     identity = Matrix.identity(ring, rank)
     add, mul = ring._add, ring._mul
     zero, one = ring.zero.data, ring.one.data

@@ -256,13 +256,12 @@ def fil0_subspace(paired, delta_basis):
     ]
 
 
-def end_mf_pairing(paired, fil0_basis=None):
+def end_mf_pairing(paired, fil0_basis):
     """Sub-basis of the span of fil0_basis commuting with the semilinear maps.
 
     Solves A_{στ} Φ_τ = Φ_τ · diag(A_τ) for the coefficients of a combination
     of fil0_basis: one equation per (τ, i, a), one unknown per basis element.
-    fil0_basis is optional; without it the module and the pairing are
-    validated and the basis is computed by delta_space and fil0_subspace.
+    fil0_basis must be fil0_subspace(paired, delta_space(paired)).
 
     These are the equations over k, and they are solved over every ring.
     The morphism condition of modules.is_morphism reads
@@ -276,8 +275,6 @@ def end_mf_pairing(paired, fil0_basis=None):
     off a field is open (ROADMAP item 3); the output is left as it is, and
     the tangent tests pin it by digest.
     """
-    if fil0_basis is None:
-        fil0_basis = fil0_subspace(paired, delta_space(paired))
     fil0_basis = list(fil0_basis)
     if not fil0_basis:
         return []
@@ -449,8 +446,8 @@ def tangent_report(paired):
 
 
 def _enumerate_count(paired):
-    # paired is valid (tangent_report checked it), and delta_space validates
-    # the normal form
+    # paired is valid with distinct weights (tangent_report checked it), and
+    # delta_space validates the normal form
     norm = _normalize(paired).pairing
     module = norm.module
     kring = module.ring

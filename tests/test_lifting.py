@@ -20,11 +20,10 @@ from flab.lifting import (
     build_correction_system,
     lift_small,
     lift_tower,
-    residual,
     solve_correction,
 )
 from flab.io import dumps_canonical, paired_to_dict
-from flab.linalg import Matrix
+from flab.linalg import Matrix, _form
 from flab.modules import FLBlock, FLModule
 from flab.pairing import (
     LData,
@@ -137,6 +136,27 @@ def test_correction_blocks_are_lower_triangular_with_full_rank(block_grid):
         assert sum(grid[i][0].nrows for i in range(rank)) == rank * (rank + eps) // 2
 
 
+def residual(system, deltas):
+    """Per-block E(Δ) - D = Δ^T S C + C^T S Δ - D over k; all zero exactly
+    when Δ solves the system.  It forms E from the standard form itself, not
+    from functionals, so it checks solve_correction independently."""
+    k = system.kring
+    r = system.rank
+    std_k = standard_gram(k, r, system.epsilon)
+
+    def form(X, Y):
+        return Matrix._from_data(k, _form(X, std_k, Y), r)
+
+    out = []
+    for tau in range(system.witt_degree):
+        delta = deltas[tau]
+        if delta.ring != k:
+            raise RingMismatch(f"correction block {tau} is not over the residue field")
+        C = system.coeff[tau]
+        out.append(form(delta, C) + form(C, delta) - system.defect[tau])
+    return tuple(out)
+
+
 def test_solver_clears_all_residuals():
     rng = random.Random(23)
     cases = [(5, 2, -1, 1), (7, 3, 1, 2), (11, 4, -1, 3), (13, 4, 1, 3)]
@@ -182,33 +202,6 @@ def test_residual_sees_a_changed_correction(family, p, rank, eps, s):
             assert all(c in pos for pos in changed)
             if eps == 1 or any(sc[u, b] != k.zero for b in range(rank) if b != c):
                 assert changed
-
-
-def test_defect_perturbation_is_linear_and_local():
-    rng = random.Random(11)
-    paired = random_paired_module(rng, make_field(7), 3, 1, s=2)
-    upper = make_ring("witt", 7, 1, 2)
-    prob = LiftProblem(paired, make_small_surjection(upper))
-    sys0 = build_correction_system(prob)
-    C = sys0.lifts[0]
-    g = prob.surj.kernel_gen
-
-    def lifts_with(scale):
-        rows = [
-            [C[u, a] + scale * g if (u, a) == (2, 1) else C[u, a] for a in range(3)]
-            for u in range(3)
-        ]
-        return (Matrix(upper, rows),)
-
-    d1 = build_correction_system(prob, lifts_with(1)).defect[0] - sys0.defect[0]
-    d2 = build_correction_system(prob, lifts_with(2)).defect[0] - sys0.defect[0]
-    assert d2 == d1 + d1
-    kz = sys0.kring.zero
-    assert any(x != kz for x in d1.entries())
-    for a in range(3):
-        for b in range(3):
-            if 1 not in (a, b):
-                assert d1[a, b] == kz
 
 
 @pytest.mark.parametrize("eps, rank, s", [(1, 3, 2), (-1, 2, 1), (-1, 4, 3), (1, 2, 1)])
@@ -288,18 +281,6 @@ def _lift_digest():
 
 def test_lift_outputs_are_frozen():
     assert _lift_digest() == FROZEN_LIFT_SHA256
-
-
-def test_initial_lift_must_reduce_to_the_base(pcanon2):
-    upper = make_ring("witt", 5, 1, 2)
-    prob = LiftProblem(pcanon2, make_small_surjection(upper))
-    with pytest.raises(InvalidInput):
-        build_correction_system(prob, (Matrix(upper, [[1, 0], [0, 2]]),))
-    with pytest.raises(RingMismatch):
-        deeper = make_ring("witt", 5, 1, 3)
-        build_correction_system(prob, (Matrix.identity(deeper, 2),))
-    with pytest.raises(InvalidInput):
-        build_correction_system(prob, ())
 
 
 def test_tower_witt_chain(pcanon2):
@@ -481,3 +462,50 @@ def test_invalid_input_errors_are_frozen(case):
             assert _outcome(lambda: lift_tower(base, n, family=family)) == expected
     surj = make_small_surjection(make_ring("witt", 5, 1, 2))
     assert _outcome(lambda: LiftProblem(base, surj)) == problem
+
+
+# -- distinct weights checked once ----------------------------------------------
+
+
+def _count_multiplicity_checks(monkeypatch):
+    calls = []
+    original = flab.pairing.check_multiplicity_free
+
+    def counting(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(flab.pairing, "check_multiplicity_free", counting)
+    monkeypatch.setattr(flab.lifting, "check_multiplicity_free", counting)
+    return calls
+
+
+def test_problem_checks_distinct_weights_once(monkeypatch):
+    paired = random_paired_module(random.Random(47), make_field(5), 2, -1, s=1)
+    surj = make_small_surjection(make_ring("witt", 5, 1, 2))
+    calls = _count_multiplicity_checks(monkeypatch)
+    LiftProblem(paired, surj)
+    assert calls == [paired.module]
+
+
+def test_normalize_standard_checks_distinct_weights_once(monkeypatch):
+    paired = random_paired_module(random.Random(53), make_field(7), 3, 1, s=2)
+    calls = _count_multiplicity_checks(monkeypatch)
+    normalize_standard(paired)
+    assert calls == [paired.module]
+
+
+@pytest.mark.parametrize("family", ["witt", "dual_numbers"])
+def test_tower_checks_distinct_weights_once(monkeypatch, family):
+    base = random_paired_module(random.Random(59), make_field(7), 3, 1, s=2)
+    calls = _count_multiplicity_checks(monkeypatch)
+    chain = lift_tower(base, 3, family=family)
+    assert len(chain) == 3
+    assert calls == [base.module]
+
+
+def test_repeated_weights_fail_before_normalizing(monkeypatch):
+    paired = _invalid_bases()["repeated_weights"]
+    calls = _count_normalize(monkeypatch)
+    assert _outcome(lambda: normalize_standard(paired)) == _REPEATED
+    assert calls == []
