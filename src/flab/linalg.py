@@ -20,7 +20,8 @@ is inverted once and its row scaled to the reduced echelon form:
 * inverse()       on [A | I] (a square matrix over a local ring is
                   invertible iff every column has a unit pivot).
 * kernel_gens()   over a field, the basis read off the reduced rows.
-* lifting._solve_full_row_rank on [T | rhs], and tangent.delta_space.
+* lifting._solve_full_row_rank on [T | rhs], tangent.delta_space, and the
+  right-to-left echelon form of modules._hom_on_gr.
 
 Forward-only mode counts pivots and inverts nothing; the rows above each
 pivot are left unreduced:
@@ -40,8 +41,9 @@ lifting.build_correction_system (the defect C^T S C).
 
 _sweep_kernel is the one other elimination: a valuation-pivot sweep whose
 column operations give the torsion generators of the right kernel, for
-kernel_gens over W/p^n and k[t]/t^n.  Over a field it gives the same basis
-as the reduced echelon form; the tests keep it as that differential oracle.
+kernel_gens over W/p^n and k[t]/t^n, where hom_mf solves its full system.
+Over a field, where hom_mf solves only its graded system, it gives the same
+basis as the reduced echelon form; the tests keep it as that oracle.
 """
 
 from __future__ import annotations
@@ -320,7 +322,7 @@ def _sweep_kernel(matrix):
     ker(matrix) = W ker(reduced).  A pivot of valuation d in column j gives
     pi^(level - d) times column j of W, none when d = 0, and a column with no
     pivot gives its column of W.  kernel_gens uses it off a field, for the
-    torsion generators hom_mf returns over W/p^n and k[t]/t^n.
+    torsion generators of hom_mf's full system over W/p^n and k[t]/t^n.
     """
     ring = matrix.ring
     sub, mul = ring._sub, ring._mul

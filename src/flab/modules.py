@@ -36,7 +36,7 @@ from .errors import (
     SingularPhi,
     WeightOutOfBounds,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _gauss_jordan
 from .rings import Ring, SmallSurj
 
 
@@ -369,7 +369,24 @@ def hom_mf(domain, codomain):
 
     Unknowns are the entries A_τ[u,a] with w^cod_{τ,u} >= w^dom_{τ,a} (all
     others vanish by filtration preservation); the equations are
-    A_{στ} Φ^dom_τ = Φ^cod_τ · (p-power divided action of A_τ) per block.
+    A_{στ} Φ^dom_τ = Φ^cod_τ · (p-power divided action of A_τ) per block,
+    and the result is the one kernel_gens gives on this full system.
+
+    Over a field p^gap = 0 for gap >= 1, so the divided action keeps only the
+    graded part gr(A_τ), the equal-weight entries.  If every Φ^dom_τ is
+    invertible, A_{στ} = P_τ = Φ^cod_τ gr(A_τ) (Φ^dom_τ)^{-1}, and _hom_on_gr
+    solves for the graded entries alone: P_τ vanishes where
+    w^cod_{στ,v} < w^dom_{στ,b} and equals gr(A_{στ}) on equal weights.
+    A singular Φ^dom_τ, or a ring that is not a field, takes the full system.
+
+    The basis is the same.  kernel_gens gives, per free column f ascending,
+    the kernel vector that is 1 at f, 0 at the other free columns and 0 after
+    f (the reduced row of a later pivot is 0 before that pivot).  Column j is
+    free iff it lies in the span of the columns before it, iff some kernel
+    vector has its last nonzero entry at j.  So the kernel maps isomorphically
+    onto the free coordinates, and that basis, the one that is the identity
+    there, is the reduced echelon form of any kernel basis with columns
+    scanned right to left and rows sorted by pivot.
     """
     if domain.ring != codomain.ring:
         raise RingMismatch("hom between modules over different rings")
@@ -377,6 +394,8 @@ def hom_mf(domain, codomain):
     if codomain.witt_degree != fprime:
         raise InvalidInput("block count mismatch")
     ring = domain.ring
+    if ring.is_field() and (basis := _hom_on_gr(domain, codomain)) is not None:
+        return MorphismSpace(domain, codomain, basis)
     rM = domain.rank
     rN = codomain.rank
     unknowns = []
@@ -424,3 +443,62 @@ def hom_mf(domain, codomain):
             per_block[tau][u][a] = gen[pos].data
         basis.append(tuple(Matrix._from_data(ring, m, rM) for m in per_block))
     return MorphismSpace(domain, codomain, basis)
+
+
+def _hom_on_gr(domain, codomain):
+    """hom_mf's basis over a field from the graded part; None if a Φ^dom_τ is singular."""
+    try:
+        inverses = [blk.phi.inverse()._raw for blk in domain.blocks]
+    except InvalidInput:
+        return None
+    ring = domain.ring
+    add, sub, mul = ring._add, ring._sub, ring._mul
+    zero, one = ring.zero.data, ring.one.data
+    fprime, rM, rN = len(inverses), domain.rank, codomain.rank
+    weights = [(n.weights, m.weights) for n, m in zip(codomain.blocks, domain.blocks)]
+    graded = [[(u, a) for u in range(rN) for a in range(rM) if n[u] == m[a]] for n, m in weights]
+    offsets = [sum(map(len, graded[:t])) for t in range(fprime + 1)]
+    width = offsets[-1]
+    if not width:
+        return ()
+    # cells: per entry of A_{στ}, στ = 0, 1, ..., row-major, its coefficients
+    # in the graded entries of A_τ and their offset, or None where it vanishes
+    cells, rows = [], []
+    for stau in range(fprime):
+        tau = (stau - 1) % fprime
+        phiN, inv = codomain.blocks[tau].phi._raw, inverses[tau]
+        wN, wM = weights[stau]
+        j = offsets[stau]
+        for v in range(rN):
+            for b in range(rM):
+                form = [mul(phiN[v][u], inv[a][b]) for u, a in graded[tau]]
+                cells.append((form, offsets[tau]) if wN[v] >= wM[b] else None)
+                if wN[v] <= wM[b]:
+                    row = [zero] * width
+                    row[offsets[tau]:offsets[tau + 1]] = form
+                    if wN[v] == wM[b]:
+                        row[j] = sub(row[j], one)
+                        j += 1
+                    rows.append(row)
+    flats = []
+    for gen in Matrix._from_data(ring, rows, width).kernel_gens():
+        gen = [x.data for x in gen]
+        flat = []
+        for cell in reversed(cells):
+            acc = zero
+            for c, x in zip(cell[0], gen[cell[1]:]) if cell else ():
+                if c != zero and x != zero:
+                    acc = add(acc, mul(c, x))
+            flat.append(acc)
+        flats.append(flat)
+    # right-to-left reduced echelon form; a lone solution whose last nonzero entry is 1 has it
+    if len(flats) > 1 or flats and next(x for x in flats[0] if x != zero) != one:
+        flats, _ = _gauss_jordan(ring, flats, len(cells))
+    size = rN * rM
+    return tuple(
+        tuple(
+            Matrix._from_data(ring, [vec[s:s + rM] for s in range(t, t + size, rM)], rM)
+            for t in range(0, fprime * size, size)
+        )
+        for vec in (flat[::-1] for flat in reversed(flats))
+    )

@@ -324,9 +324,9 @@ def test_field_kernel_equals_the_sweep(ring):
 
 
 def test_hom_system_kernels_equal_the_sweep(monkeypatch):
-    # the systems hom_mf solves for Hom(M^vv, M) and Hom(M, M^vv), M random
-    # with distinct weights in [0, 3] and L = (1, (4, ...), c), as in the
-    # dual ops of the module_algebra benchmark
+    # the graded systems hom_mf solves over a field for Hom(M^vv, M) and
+    # Hom(M, M^vv), M random with distinct weights in [0, 3] and
+    # L = (1, (4, ...), c), as in the dual ops of the module_algebra benchmark
     systems = []
     kernel_gens = Matrix.kernel_gens
 
