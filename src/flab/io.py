@@ -27,10 +27,10 @@ from .modules import FLBlock, FLModule, check_block_count
 from .pairing import LData, PairedFLModule, check_pairing_counts, check_twist_lengths
 from .rings import MAX_DEGREE, _check_bounded, make_field, make_ring
 
-# flab tangent on a random symplectic module over F_101 takes 0.15 s at rank
-# 16, 0.53 s at rank 24 and 1.6 s at rank 32, whole process (medians of 5
-# runs, 2-vCPU host, CPython 3.11.7); validate, normalize and lift take
-# 0.10, 0.12 and 0.17 s at rank 32 (medians of 3)
+# flab tangent on a random symplectic module over F_101 takes 0.17 s at rank
+# 16, 0.46 s at rank 24 and 0.87 s at rank 32, whole process (medians of 5
+# runs, shared 2-vCPU host, CPython 3.11.7); validate, normalize and lift
+# take 0.18, 0.23 and 0.23 s at rank 32 (medians of 5)
 MAX_RANK = 32
 
 

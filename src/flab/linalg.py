@@ -10,12 +10,17 @@ checks every entry of outside input once; the accessors (``rows``,
 ``m[i, j]``, ``row``, ``entries``) wrap entries on the way out.
 Arithmetic, transpose, comparison and the eliminations run on the ring's
 ``_add``/``_sub``/``_mul`` and build their result through the trusted
-``Matrix._from_data``, which skips the per-entry checks.
+``Matrix._from_data``, which skips the per-entry checks.  Row work goes
+through the ring's row kernels, one call per row: ``_row_submul`` for the
+updates of _gauss_jordan and ``_row_scale`` for its pivot-row and p * r
+scalings and for scalar multiples.  On Z/p^n and the tabled fields they
+reduce once per entry instead of making two ring calls.
 
 One Gauss-Jordan with unit pivots, _gauss_jordan, serves every elimination
 over a field and the unit-pivot ones over W/p^n and k[t]/t^n.  It subtracts
-the pivot row only at its nonzero entries.  In full mode each pivot
-is inverted once and its row scaled to the reduced echelon form:
+the pivot row only at its nonzero entries.  In full mode each pivot is
+inverted once, by the ring's raw ``_inv``, and its row scaled to the
+reduced echelon form:
 
 * inverse()       on [A | I] (a square matrix over a local ring is
                   invertible iff every column has a unit pivot).
@@ -202,14 +207,8 @@ class Matrix:
         s = _coerce_entry(self.ring, scalar)
         if s == self.ring.one.data:
             return self  # immutable, and ω = 1 or c = 1 is the common case
-        mul = self.ring._mul
-        zero = self.ring.zero.data
-        # c * 0 = 0 in every ring, so zero entries are kept as they are
-        return Matrix._from_data(
-            self.ring,
-            [[mul(a, s) if a != zero else a for a in row] for row in self._raw],
-            self.ncols,
-        )
+        scale = self.ring._row_scale
+        return Matrix._from_data(self.ring, [scale(row, s) for row in self._raw], self.ncols)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -446,11 +445,13 @@ def _gauss_jordan(ring, rows, width, forward_only=False):
     unused row whose entry is a unit, which moves up to the next pivot
     position (over a field every nonzero entry is one).  Only the nonzero
     entries of the pivot row are read in an update, and zero entries are
-    skipped in the pivot scan.
+    skipped in the pivot scan.  Each update is one ring._row_submul call
+    and each scaling one ring._row_scale call.
 
-    Full mode: the pivot p is inverted once, through Ring.inv, and the pivot
-    row scaled by p^{-1}; every other row r with a nonzero entry c in the
-    column becomes r - c * (pivot row).  Pivot rows end with 1 at their pivot
+    Full mode: the pivot p is inverted once, through ring._inv, since the
+    search has just found it a unit, and the pivot row scaled by p^{-1};
+    every other row r with a nonzero entry c in the column becomes
+    r - c * (pivot row).  Pivot rows end with 1 at their pivot
     and 0 at the other pivot columns: the reduced echelon form there.
     Forward-only mode inverts nothing: the rows below the pivot with a
     nonzero c become p * r - c * (pivot row), a unit multiple that keeps the
@@ -470,7 +471,7 @@ def _gauss_jordan(ring, rows, width, forward_only=False):
     c - c * 1, or p c - c p, in the pivot column is set to zero directly.
     Returns (rows, pivot_cols) with rows[i] the pivot row of pivot_cols[i].
     """
-    sub, mul, is_unit = ring._sub, ring._mul, ring._is_unit
+    submul, scale, is_unit = ring._row_submul, ring._row_scale, ring._is_unit
     zero, one = ring.zero.data, ring.one.data
     field = ring.is_field()
     nrows = len(rows)
@@ -487,9 +488,9 @@ def _gauss_jordan(ring, rows, width, forward_only=False):
         rows[sel] = rows[top]
         p = pivot_row[col]
         if not forward_only:
-            s = ring.inv(RingElem(ring, p)).data
+            s = ring._inv(p)
             if s != one:
-                pivot_row = [mul(s, a) if a != zero else a for a in pivot_row]
+                pivot_row = scale(pivot_row, s)
         rows[top] = pivot_row
         nonzero = [(j, b) for j, b in enumerate(pivot_row) if b != zero and j != col]
         for i in range(top + 1 if forward_only else 0, nrows):
@@ -498,10 +499,9 @@ def _gauss_jordan(ring, rows, width, forward_only=False):
             if c == zero or i == top:
                 continue
             if forward_only and p != one:
-                row = [mul(p, a) if a != zero else a for a in row]
+                row = scale(row, p)
                 rows[i] = row
-            for j, b in nonzero:
-                row[j] = sub(row[j], mul(c, b))
+            submul(row, c, nonzero)
             row[col] = zero
         pivot_cols.append(col)
     return rows, pivot_cols

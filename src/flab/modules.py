@@ -452,7 +452,7 @@ def _hom_on_gr(domain, codomain):
     except InvalidInput:
         return None
     ring = domain.ring
-    add, sub, mul = ring._add, ring._sub, ring._mul
+    sub, mul, dot = ring._sub, ring._mul, ring._dot
     zero, one = ring.zero.data, ring.one.data
     fprime, rM, rN = len(inverses), domain.rank, codomain.rank
     weights = [(n.weights, m.weights) for n, m in zip(codomain.blocks, domain.blocks)]
@@ -483,14 +483,7 @@ def _hom_on_gr(domain, codomain):
     flats = []
     for gen in Matrix._from_data(ring, rows, width).kernel_gens():
         gen = [x.data for x in gen]
-        flat = []
-        for cell in reversed(cells):
-            acc = zero
-            for c, x in zip(cell[0], gen[cell[1]:]) if cell else ():
-                if c != zero and x != zero:
-                    acc = add(acc, mul(c, x))
-            flat.append(acc)
-        flats.append(flat)
+        flats.append([dot(cell[0], gen[cell[1]:]) if cell else zero for cell in reversed(cells)])
     # right-to-left reduced echelon form; a lone solution whose last nonzero entry is 1 has it
     if len(flats) > 1 or flats and next(x for x in flats[0] if x != zero) != one:
         flats, _ = _gauss_jordan(ring, flats, len(cells))

@@ -162,12 +162,13 @@ class NormalizationResult:
 # standard forms
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=None)
 def standard_gram(ring, rank, epsilon):
     """Antidiagonal ones for ε=+1; [[0, J],[-J, 0]] layout for ε=-1.
 
-    Cached per (ring, rank, ε): the Matrix is immutable, and errors are
-    raised again on every call."""
+    Cached per (ring, rank, ε) without a bound, like the interned rings of
+    its keys: the Matrix is immutable, and errors are raised again on every
+    call."""
     if epsilon not in (1, -1):
         raise InvalidInput("epsilon must be +1 or -1")
     if epsilon == -1 and rank % 2:

@@ -22,7 +22,10 @@ moves between the levels of a tower (``_residue_data``, ``_lift_data``,
 ``_reduce_data``).  Inversion, unit square roots and the Frobenius lift run
 one raw Newton iteration (``_newton``), and powers one square and multiply
 (``_power``); no RingElem is built inside either.  flab.linalg stores and
-computes on the raw tuples directly.  Degrees f above MAX_DEGREE and levels
+computes on the raw tuples directly, a row at a time through three row
+kernels (``_row_submul``, ``_row_scale``, ``_dot``): written once in Ring
+on the arithmetic, and taken in one pass per row on Z/p^level and the
+tabled fields by WittRing.  Degrees f above MAX_DEGREE and levels
 above MAX_LEVEL are refused before a ring is built.  Arithmetic per family:
 
 * Z/p^level (f = 1): ``_add``, ``_sub`` and ``_mul`` do one int operation
@@ -412,6 +415,29 @@ class Ring:
         self._check_lift(x.ring if isinstance(x, RingElem) else None)
         return RingElem(self, self._lift_data(x.ring, x.data))
 
+    # -- row kernels of the eliminations ------------------------------------
+
+    def _row_submul(self, row, c, pairs):
+        """row[j] <- row[j] - c b in place for each (j, b) in pairs; the
+        caller guarantees that c and every b are nonzero."""
+        sub, mul = self._sub, self._mul
+        for j, b in pairs:
+            row[j] = sub(row[j], mul(c, b))
+
+    def _row_scale(self, row, c):
+        """The new list of c x for x in row, zero entries kept as they are."""
+        mul, zero = self._mul, self._zero.data
+        return [mul(c, x) if x != zero else x for x in row]
+
+    def _dot(self, xs, ys):
+        """The sum of x y over zip(xs, ys)."""
+        add, mul, zero = self._add, self._mul, self._zero.data
+        acc = zero
+        for x, y in zip(xs, ys):
+            if x != zero and y != zero:
+                acc = add(acc, mul(x, y))
+        return acc
+
     # -- units ---------------------------------------------------------------
 
     def is_unit(self, x):
@@ -620,6 +646,66 @@ class WittRing(Ring):
                 for i in range(f):
                     conv[off + i] -= c * mp[i]
         return tuple([x % m for x in conv[:f]])
+
+    # The row kernels take the branches of _add, _sub and _mul once per call:
+    # on Z/p^level one reduction per entry, or per dot product; in a tabled
+    # field -c b has log (log c + h + log b) mod n and adds by one Zech lookup.
+
+    def _row_submul(self, row, c, pairs):
+        if self.f == 1:
+            m, (c,) = self._modulus, c
+            for j, (b,) in pairs:
+                row[j] = ((row[j][0] - c * b) % m,)
+            return
+        tables = self._tables
+        if tables is None:
+            tables = self._field_tables()
+        if not tables:
+            return Ring._row_submul(self, row, c, pairs)
+        log, exp = tables
+        zech, n, h = self._zech
+        zero_log, lc = 2 * n, log[c] + h
+        for j, b in pairs:
+            lt = lc + log[b]
+            la = log[row[j]]
+            row[j] = exp[lt % n] if la == zero_log else exp[la + zech[(lt - la) % n]]
+
+    def _row_scale(self, row, c):
+        if self.f == 1:
+            m, (c,), zero = self._modulus, c, self._zero.data
+            return [(c * x % m,) if x else zero for (x,) in row]
+        tables = self._tables
+        if tables is None:
+            tables = self._field_tables()
+        if not tables:
+            return Ring._row_scale(self, row, c)
+        # exp is zero past 2n, so a zero entry or c = 0 gives zero
+        log, exp = tables
+        lc = log[c]
+        return [exp[lc + log[x]] for x in row]
+
+    def _dot(self, xs, ys):
+        if self.f == 1:
+            return (sum([x * y for (x,), (y,) in zip(xs, ys)]) % self._modulus,)
+        tables = self._tables
+        if tables is None:
+            tables = self._field_tables()
+        if not tables:
+            return Ring._dot(self, xs, ys)
+        log, exp = tables
+        zech, n, _ = self._zech
+        zero_log = 2 * n
+        acc = zero_log
+        for x, y in zip(xs, ys):
+            t = log[x] + log[y]
+            if t >= zero_log:
+                continue
+            if acc == zero_log:
+                acc = t % n
+            else:
+                z = zech[(t - acc) % n]
+                acc = zero_log if z == zero_log else (acc + z) % n
+        return exp[acc]
 
     def _field_tables(self):
         """(log, exp) for a tabled field, built on first use; else False.

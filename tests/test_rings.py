@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -701,3 +702,91 @@ def test_ring_algorithms_do_no_ring_element_arithmetic(monkeypatch):
     for calls in cases:
         for method, args, expected in calls:
             assert method(*args) == expected, (method, args)
+
+
+# -- row kernels against the ring operations they replace ----------------------
+
+KERNEL_RINGS = (
+    make_field(2),
+    make_field(5),
+    make_ring("witt", 3, 1, 2),
+    make_ring("witt", 5, 1, 3),
+    make_field(4),
+    make_field(8),
+    make_field(25),
+    make_field(49),
+    make_ring("witt", 3, 2, 2),
+    make_ring("dual_numbers", 5, 1, 3),
+    D9_2,
+)
+
+
+def _kernel_cases(ring, rng):
+    """(row, c, other) triples: seeded rows about a third zeros, zero rows,
+    and rows whose update and dot product vanish entry by entry."""
+    zero = ring.zero.data
+    elements = [x.data for x in ring.elements()]
+    units = [x for x in elements if ring._is_unit(x)]
+    nonzero = [x for x in elements if x != zero]
+    cases = []
+    for width in (0, 1, 2, 5, 9):
+        for _ in range(8):
+            row, other = (
+                [rng.choice(nonzero) if rng.random() < 0.65 else zero for _ in range(width)]
+                for _ in range(2)
+            )
+            cases.append((row, rng.choice(nonzero), other))
+        cases.append(([zero] * width, rng.choice(nonzero), [rng.choice(nonzero) for _ in range(width)]))
+    for _ in range(8):
+        c, b = rng.choice(nonzero), rng.choice(nonzero)
+        u = rng.choice(units)
+        # row - c b vanishes, and so does c b + c (-b) with a unit in between
+        cases.append(([ring._mul(c, b)] * 3, c, [b, b, b]))
+        cases.append(([c, u, c], c, [b, zero, ring._sub(zero, b)]))
+    return cases
+
+
+def test_row_kernels_match_the_ring_operations():
+    rng = random.Random(2025)
+    for ring in KERNEL_RINGS:
+        add, sub, mul = ring._add, ring._sub, ring._mul
+        zero, one = ring.zero.data, ring.one.data
+        for row, c, other in _kernel_cases(ring, rng):
+            pairs = [(j, b) for j, b in enumerate(other) if b != zero]
+            updated = list(row)
+            ring._row_submul(updated, c, pairs)
+            expected = list(row)
+            for j, b in pairs:
+                expected[j] = sub(expected[j], mul(c, b))
+            assert updated == expected, (ring, row, c, other)
+            for s in (c, zero, one):
+                scaled = ring._row_scale(row, s)
+                assert scaled == [mul(s, x) for x in row] and scaled is not row, (ring, row, s)
+            acc = zero
+            for x, y in zip(row, other):
+                acc = add(acc, mul(x, y))
+            assert ring._dot(row, other) == acc, (ring, row, other)
+        # a vanishing update or dot product is the zero data itself
+        c = ring.one.data
+        assert ring._dot([c, c], [c, sub(zero, c)]) == zero
+        row = [c]
+        ring._row_submul(row, c, [(0, c)])
+        assert row == [zero]
+
+
+def test_row_kernels_build_the_field_tables_on_first_use():
+    # a fresh, uninterned copy of a tabled field has no tables until a kernel runs
+    for q in (9, 49):
+        ring = make_field(q)
+        a, b = (x.data for x in itertools.islice(ring.elements(), 2, 4))
+        expected = (
+            [ring._sub(a, ring._mul(b, b))],
+            [ring._mul(b, a)],
+            ring._add(ring._mul(a, a), ring._mul(b, b)),
+        )
+        fresh = [type(ring)(ring.p, ring.f, 1, ring.minimal_poly) for _ in range(3)]
+        assert all(r._tables is None for r in fresh)
+        row = [a]
+        fresh[0]._row_submul(row, b, [(0, b)])
+        assert (row, fresh[1]._row_scale([a], b), fresh[2]._dot([a, b], [a, b])) == expected
+        assert all(r._tables for r in fresh)
