@@ -58,8 +58,10 @@ def field_generator(field):
     return field.elem(field._generator_data())
 
 
+@lru_cache(maxsize=None)
 def subfield_generator(big, q, d):
-    """Generator of the units of the copy of F_{q^d} inside the field big."""
+    """Generator of the units of the copy of F_{q^d} inside the field big;
+    cached per field, q and d, and a call that raises caches nothing."""
     p, e = prime_power(q)
     if not big.is_field() or big.p != p:
         raise InvalidInput("ambient ring is not a field of the right characteristic")

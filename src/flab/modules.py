@@ -36,14 +36,15 @@ from .errors import (
     SingularPhi,
     WeightOutOfBounds,
 )
-from .linalg import Matrix, _gauss_jordan
+from .linalg import Matrix, _coerce_entry, _gauss_jordan
 from .rings import Ring, SmallSurj
 
 
 class FLBlock:
-    """One τ-block: ascending weights plus the jump-map matrix Φ_τ."""
+    """One τ-block: ascending weights plus the jump-map matrix Φ_τ; _phi_inv,
+    not part of its value, is Φ_τ^{-1} if dual built it, else None."""
 
-    __slots__ = ("weights", "phi")
+    __slots__ = ("weights", "phi", "_phi_inv")
 
     def __init__(self, weights, phi):
         weights = tuple(int(w) for w in weights)
@@ -59,6 +60,7 @@ class FLBlock:
             raise InvalidInput("weights must be ascending")
         self.weights = weights
         self.phi = phi
+        self._phi_inv = None
 
     @property
     def rank(self):
@@ -211,7 +213,12 @@ def _pair_order(weights1, weights2):
 
 
 def tensor(m1, m2):
-    """Tensor product, adapted basis sorted by total weight."""
+    """Tensor product, adapted basis sorted by total weight.
+
+    Φ_τ is the Kronecker product of the factors' blocks in that order, formed
+    from products of nonzero entries only: a product with a zero factor is
+    the ring's zero on every family.
+    """
     if m1.ring != m2.ring:
         raise RingMismatch("tensor factors over different rings")
     if m1.witt_degree != m2.witt_degree:
@@ -233,18 +240,23 @@ def tensor(m1, m2):
         orders.append(order)
         sums.append(weight_sums)
     mul = ring._mul
+    zero = ring.zero.data
     blocks = []
     for tau in range(fprime):
         stau = (tau + 1) % fprime
-        phi1 = m1.blocks[tau].phi._raw
-        phi2 = m2.blocks[tau].phi._raw
-        rows = [
-            [mul(phi1[u][i], phi2[v][j]) for i, j in orders[tau]]
-            for u, v in orders[stau]
-        ]
-        blocks.append(
-            FLBlock(tuple(sums[tau]), Matrix._from_data(ring, rows, len(orders[tau])))
+        nz1, nz2 = (
+            [[(i, x) for i, x in enumerate(row) if x != zero] for row in m.blocks[tau].phi._raw]
+            for m in (m1, m2)
         )
+        col = {pair: k for k, pair in enumerate(orders[tau])}
+        rows = []
+        for u, v in orders[stau]:
+            row = [zero] * len(col)
+            for i, x in nz1[u]:
+                for j, y in nz2[v]:
+                    row[col[i, j]] = mul(x, y)
+            rows.append(row)
+        blocks.append(FLBlock(tuple(sums[tau]), Matrix._from_data(ring, rows, len(col))))
     return FLModule(ring, (a, b), blocks)
 
 
@@ -255,6 +267,11 @@ def dual(module, L):
     ascending-sorted dual basis Φ^∨_τ = J (c_τ (Φ_τ^{-1})^T) J with J the
     index reversal, read off by index: for rank r,
     (Φ^∨_τ)[i][j] = c_τ · (Φ_τ^{-1})[r-1-j][r-1-i].  Output bounds are tight.
+
+    Its inverse needs no elimination: (Φ^∨_τ)^{-1} = c_τ^{-1} J Φ_τ^T J, so
+    entry (i, j) is c_τ^{-1} · Φ_τ[r-1-j][r-1-i].  Each output block carries
+    it for dual and hom_mf to read when c_τ is a unit; the blocks of the
+    input are eliminated on every call and nothing is stored on them.
     """
     ring = module.ring
     fprime = module.witt_degree
@@ -264,14 +281,29 @@ def dual(module, L):
     seen = []
     for tau in range(fprime):
         blk = module.blocks[tau]
-        inv = blk.phi.inverse(error=SingularPhi(f"block {tau}"))._raw
-        # row i of J inv^T J is column r-1-i of inv, read bottom to top
-        rows = [[row[k] for row in reversed(inv)] for k in reversed(range(blk.rank))]
-        phi_dual = Matrix._from_data(ring, rows, blk.rank)._scaled(L.c[tau])
+        inv = _phi_inverse(blk, SingularPhi(f"block {tau}"))
+        c = _coerce_entry(ring, L.c[tau])
         weights = tuple(L.s[tau] - w for w in reversed(blk.weights))
         seen.extend(weights)
-        blocks.append(FLBlock(weights, phi_dual))
+        dual_blk = FLBlock(weights, _reversed_transpose(ring, inv, c))
+        if ring._is_unit(c):
+            dual_blk._phi_inv = _reversed_transpose(ring, blk.phi._raw, ring._inv(c))
+        blocks.append(dual_blk)
     return FLModule(ring, (min(seen), max(seen)), blocks)
+
+
+def _reversed_transpose(ring, rows, c):
+    # c · J rows^T J: row i is c times column r-1-i of rows, read bottom to top
+    r = len(rows)
+    out = [ring._row_scale([row[k] for row in reversed(rows)], c) for k in reversed(range(r))]
+    return Matrix._from_data(ring, out, r)
+
+
+def _phi_inverse(blk, error=None):
+    """Raw rows of Φ_τ^{-1}: the closed form dual attached, else an elimination."""
+    if blk._phi_inv is not None:
+        return blk._phi_inv._raw
+    return blk.phi.inverse(error=error)._raw
 
 
 def base_change(module, target):
@@ -446,9 +478,10 @@ def hom_mf(domain, codomain):
 
 
 def _hom_on_gr(domain, codomain):
-    """hom_mf's basis over a field from the graded part; None if a Φ^dom_τ is singular."""
+    """hom_mf's basis over a field from the graded part; None if a Φ^dom_τ is
+    singular.  Each (Φ^dom_τ)^{-1} is the one dual attached, else eliminated."""
     try:
-        inverses = [blk.phi.inverse()._raw for blk in domain.blocks]
+        inverses = [_phi_inverse(blk) for blk in domain.blocks]
     except InvalidInput:
         return None
     ring = domain.ring

@@ -19,6 +19,7 @@ images of all summand embeddings jointly form a basis of the tensor module.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add
 
 from .errors import (
     IndexOutOfRange,
@@ -144,9 +145,12 @@ class DecompositionResult:
 def tensor_decompose(a, b):
     """Split M(h;i) (x) M(h';i') into cyclic summands with multiplicities."""
     period = lcm(a.h, b.h)
+    # piece s reads i_r + i'_{s+r}, r < period: slices of the repeated weights
+    ia = a.i * (period // a.h)
+    ib = b.i * (period // b.h + 1)
     summands = []
     for s in range(gcd(a.h, b.h)):
-        weights = tuple(a.i[r % a.h] + b.i[(s + r) % b.h] for r in range(period))
+        weights = tuple(map(add, ia, ib[s:s + period]))
         hs = minimal_period(weights)
         # a prefix of one minimal period is itself of minimal period
         summands.append(
@@ -202,12 +206,6 @@ def build_simple(spec, q):
     return _build_cyclic(ring, spec.i, ring.one)
 
 
-def _tensor_positions(ma, mb):
-    # the basis order of tensor(ma, mb), so embeddings index into it
-    order, _ = _pair_order(ma.blocks[0].weights, mb.blocks[0].weights)
-    return {pair: idx for idx, pair in enumerate(order)}
-
-
 class Embedding:
     """A verified injective morphism of one tensor summand copy."""
 
@@ -221,53 +219,60 @@ class Embedding:
         self.copy = copy
 
 
-def _tensor_target(a, b, ring):
-    """build_simple(a) (x) build_simple(b) and the position of each basis pair."""
-    ma = build_simple(a, ring)
-    mb = build_simple(b, ring)
-    return tensor(ma, mb), _tensor_positions(ma, mb)
-
-
-def summand_embedding(a, b, s, j, q, parts=None):
+def summand_embedding(a, b, s, j, q):
     """Copy j of summand s inside build_simple(a) (x) build_simple(b).
 
     Copy 0 is the diagonal embedding e_w |-> sum_m e_{w+m h_s} (x)
     e'_{w+m h_s+s}; copy j scales the m-th term by the j-th power of a fixed
     primitive d_s-th root of unity, and its source has the wraparound map
     scaled to match.  Raises InvalidInput when F_q has no such root.
-    parts is optional: (tensor_decompose(a, b), *_tensor_target(a, b, F_q)),
-    shared by a caller that embeds several copies into the same target.
     """
+    [emb] = _embeddings(a, b, q, [(s, j)])
+    return emb
+
+
+def _embeddings(a, b, q, copies=None):
+    """The embeddings of the (s, j) in copies, or of every copy in order; the
+    decomposition, the target and its row of each index pair are built once."""
     ring = _as_field(q)
-    dec, target, tpos = parts or (tensor_decompose(a, b), *_tensor_target(a, b, ring))
-    if not 0 <= s < len(dec.summands):
-        raise IndexOutOfRange(f"summand index {s} not below gcd = {len(dec.summands)}")
-    summand = dec.summands[s]
-    if not 0 <= j < summand.copies:
-        raise IndexOutOfRange(f"copy index {j} not below d_s = {summand.copies}")
-    twist = ring.one
-    if j:
-        if (ring.size - 1) % summand.copies:
-            raise InvalidInput(
-                f"F_{ring.size} has no primitive root of unity of order {summand.copies}"
-            )
-        twist = field_generator(ring) ** ((ring.size - 1) // summand.copies * j)
-    source = _build_cyclic(ring, summand.spec.i, twist)
-    pos_a = _positions(a.i)
-    pos_b = _positions(b.i)
-    pos_src = _positions(summand.spec.i)
-    hs = summand.period
-    rows = [[ring.zero.data] * hs for _ in range(target.rank)]
-    coeff = ring.one.data
-    for m in range(summand.copies):
-        for w in range(hs):
-            # r < lcm(h, h') is fixed by r mod h and r mod h', so each row is hit once
-            r = w + m * hs
-            rows[tpos[(pos_a[r % a.h], pos_b[(r + s) % b.h])]][pos_src[w]] = coeff
-        coeff = ring._mul(coeff, twist.data)
-    matrix = Matrix._from_data(ring, rows, hs)
-    _check_embedding(matrix, source, target)
-    return Embedding(source, target, matrix, s, j)
+    dec = tensor_decompose(a, b)
+    ma, mb = build_simple(a, ring), build_simple(b, ring)
+    target = tensor(ma, mb)
+    order, _ = _pair_order(ma.blocks[0].weights, mb.blocks[0].weights)
+    tpos = {pair: idx for idx, pair in enumerate(order)}
+    # row_of[n][n'] is the row of e_n (x) e'_n' in the target's sorted basis
+    row_of = [[tpos[pa, pb] for pb in _positions(b.i)] for pa in _positions(a.i)]
+    if copies is None:
+        copies = [(s, j) for s, summand in enumerate(dec.summands) for j in range(summand.copies)]
+    out = []
+    for s, j in copies:
+        if not 0 <= s < len(dec.summands):
+            raise IndexOutOfRange(f"summand index {s} not below gcd = {len(dec.summands)}")
+        summand = dec.summands[s]
+        if not 0 <= j < summand.copies:
+            raise IndexOutOfRange(f"copy index {j} not below d_s = {summand.copies}")
+        twist = ring.one
+        if j:
+            if (ring.size - 1) % summand.copies:
+                raise InvalidInput(
+                    f"F_{ring.size} has no primitive root of unity of order {summand.copies}"
+                )
+            twist = field_generator(ring) ** ((ring.size - 1) // summand.copies * j)
+        source = _build_cyclic(ring, summand.spec.i, twist)
+        pos_src = _positions(summand.spec.i)
+        hs = summand.period
+        rows = [[ring.zero.data] * hs for _ in range(target.rank)]
+        coeff = ring.one.data
+        for m in range(summand.copies):
+            for w in range(hs):
+                # r < lcm(h, h') is fixed by r mod h and r mod h', so each row is hit once
+                r = w + m * hs
+                rows[row_of[r % a.h][(r + s) % b.h]][pos_src[w]] = coeff
+            coeff = ring._mul(coeff, twist.data)
+        matrix = Matrix._from_data(ring, rows, hs)
+        _check_embedding(matrix, source, target)
+        out.append(Embedding(source, target, matrix, s, j))
+    return out
 
 
 def _monomial_columns(phi):
@@ -321,14 +326,7 @@ def _check_embedding(matrix, source, target):
 
 def all_embeddings(a, b, q):
     """Every summand embedding, summands in order and copies ascending."""
-    ring = _as_field(q)
-    dec = tensor_decompose(a, b)
-    parts = (dec, *_tensor_target(a, b, ring))
-    return [
-        summand_embedding(a, b, s, j, ring, parts)
-        for s, summand in enumerate(dec.summands)
-        for j in range(summand.copies)
-    ]
+    return _embeddings(a, b, q)
 
 
 def change_of_basis(a, b, q):

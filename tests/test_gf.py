@@ -183,16 +183,16 @@ def test_subfield_generator_spans_the_kernel_subfield():
             x = x * g
         oracle = {big.encode(y) for y in _subfield_elements(big, q, d)}
         assert powers == oracle
+        # cached per field: an equal field built again gets the same generator
+        assert subfield_generator(make_field(ambient), q, d) == g
 
 
 def test_subfield_rejects_bad_degrees():
     big = make_field(16)
-    with pytest.raises(errors.InvalidInput):
-        subfield_generator(big, 2, 3)
-    with pytest.raises(errors.InvalidInput):
-        subfield_generator(big, 3, 1)
-    with pytest.raises(errors.InvalidInput):
-        subfield_generator(make_ring("witt", 5, 1, 2), 5, 1)
+    # twice each: a call that raises leaves nothing in the cache
+    for args in ((big, 2, 3), (big, 3, 1), (big, 2, 0), (make_ring("witt", 5, 1, 2), 5, 1)) * 2:
+        with pytest.raises(errors.InvalidInput):
+            subfield_generator(*args)
 
 
 def test_p_polynomial_frozen_values():

@@ -30,7 +30,13 @@ from flab.modules import (
 )
 from flab.pairing import LData
 from flab.rings import make_field, make_ring, make_small_surjection
-from flab.simples import SimpleSpec, all_embeddings, minimal_period, tensor_decompose
+from flab.simples import (
+    SimpleSpec,
+    _build_cyclic,
+    all_embeddings,
+    minimal_period,
+    tensor_decompose,
+)
 from flab.testing import random_fl_module, random_invertible_matrix
 
 
@@ -378,6 +384,168 @@ def test_dual_matches_the_reversal_products():
                 c=tuple(ring.random_unit(rng) for _ in range(fprime)),
             )
             assert dual(m, L) == _reference_dual(m, L)
+
+
+# -- the inverse dual attaches, and the sparse tensor ----------------------------------
+
+# F_5, F_25, F_49, Z/125, W(F_9)/9, F_5[t]/t^3 and F_9[t]/t^2
+SLOT_RINGS = [make_field(q) for q in (5, 25, 49)] + [
+    make_ring("witt", 5, 1, 3),
+    make_ring("witt", 3, 2, 2),
+    make_ring("dual_numbers", 5, 1, 3),
+    make_ring("dual_numbers", 3, 2, 2),
+]
+
+
+def _slot_cases():
+    rng = random.Random(83)
+    for ring in SLOT_RINGS:
+        for fprime in (1, 2) if ring.f == 2 else (1,):
+            for rank in (1, 2, 3, 4):
+                m = random_fl_module(rng, ring, rank, witt_degree=fprime, weight_range=(0, 3))
+                L = LData(
+                    1,
+                    tuple(rng.randint(3, 5) for _ in range(fprime)),
+                    tuple(ring.random_unit(rng) for _ in range(fprime)),
+                )
+                yield m, L
+
+
+def _without_inverses(module):
+    return FLModule(module.ring, module.bounds, [FLBlock(b.weights, b.phi) for b in module.blocks])
+
+
+def test_dual_attaches_the_inverse_of_each_block():
+    cases = 0
+    for m, L in _slot_cases():
+        d = dual(m, L)
+        dd = dual(d, L)
+        assert dd == m
+        for tau in range(m.witt_degree):
+            assert d.blocks[tau]._phi_inv == d.blocks[tau].phi.inverse()
+            assert dd.blocks[tau]._phi_inv == m.blocks[tau].phi.inverse()
+            assert m.blocks[tau]._phi_inv is None
+        # the slot is not part of a block's value
+        assert _without_inverses(dd) == dd and hash(_without_inverses(dd)) == hash(dd)
+        assert hom_mf(dd, m).basis == hom_mf(_without_inverses(dd), m).basis
+        assert hom_mf(d, d).basis == hom_mf(_without_inverses(d), d).basis
+        cases += 1
+    assert cases == 44
+
+
+def test_dual_with_a_non_unit_twist_attaches_nothing():
+    ring = make_ring("witt", 5, 1, 3)
+    m = random_fl_module(random.Random(89), ring, 2, weight_range=(0, 1))
+    d = dual(m, SimpleNamespace(s=(2,), c=(ring.from_int(5),)))
+    assert d.blocks[0]._phi_inv is None
+    with pytest.raises(SingularPhi, match="block 0"):
+        dual(d, SimpleNamespace(s=(2,), c=(ring.one,)))
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    inverse = Matrix.inverse
+
+    def counting(self, error=None):
+        calls.append(self.nrows)
+        return inverse(self, error)
+
+    monkeypatch.setattr(Matrix, "inverse", counting)
+    return calls
+
+
+def test_a_double_dual_and_its_hom_eliminate_once_per_block(monkeypatch):
+    F25 = make_field(25)
+    rng = random.Random(97)
+    m = random_fl_module(rng, F25, 4, witt_degree=2, weight_range=(0, 3), distinct_weights=True)
+    L = LData(1, (4, 4), (F25.random_unit(rng),) * 2)
+    calls = _count_inverses(monkeypatch)
+    space = hom_mf(dual(dual(m, L), L), m)
+    assert space.dimension >= 1
+    assert calls == [4, 4]
+
+
+def test_dual_eliminates_the_caller_blocks_on_every_call(monkeypatch):
+    ring = make_field(7)
+    m = random_fl_module(random.Random(101), ring, 3, weight_range=(0, 3))
+    L = LData(1, (3,), (ring.from_int(2),))
+    calls = _count_inverses(monkeypatch)
+    assert dual(m, L) == dual(m, L)
+    assert calls == [3, 3]
+
+
+def _dense_tensor(m1, m2):
+    """Reference for tensor: every entry of the Kronecker product multiplied,
+    zero or not."""
+    ring = m1.ring
+    fprime = m1.witt_degree
+    orders = [_tensor_order(m1.blocks[t].weights, m2.blocks[t].weights) for t in range(fprime)]
+    mul = ring._mul
+    blocks = []
+    for tau in range(fprime):
+        phi1 = m1.blocks[tau].phi._raw
+        phi2 = m2.blocks[tau].phi._raw
+        rows = [
+            [mul(phi1[u][i], phi2[v][j]) for i, j in orders[tau]]
+            for u, v in orders[(tau + 1) % fprime]
+        ]
+        w1, w2 = m1.blocks[tau].weights, m2.blocks[tau].weights
+        weights = tuple(w1[i] + w2[j] for i, j in orders[tau])
+        blocks.append(FLBlock(weights, Matrix._from_data(ring, rows, len(rows))))
+    bounds = (m1.bounds[0] + m2.bounds[0], m1.bounds[1] + m2.bounds[1])
+    return FLModule(ring, bounds, blocks)
+
+
+def _nilpotent_heavy(rng, ring, rank, fprime, weights):
+    """Unit diagonal, every other entry pi^(level-1) times a random element,
+    so products of two off-diagonal entries are nonzero x nonzero = 0."""
+    top = ring.pi_pow(ring.level - 1)
+    blocks = []
+    for _ in range(fprime):
+        rows = [
+            [ring.random_unit(rng) if u == a else top * ring.random_element(rng) for a in range(rank)]
+            for u in range(rank)
+        ]
+        blocks.append(FLBlock(weights, Matrix(ring, rows)))
+    return FLModule(ring, (min(weights), max(weights)), blocks)
+
+
+def test_sparse_tensor_equals_the_dense_product():
+    rng = random.Random(103)
+    zero_products = 0
+    cases = 0
+    for ring in SLOT_RINGS:
+        hi = 1 if ring.p == 3 else 2
+        for fprime in (1, 2) if ring.f == 2 else (1,):
+            pairs = []
+            for _ in range(3):
+                pairs.append(tuple(
+                    random_fl_module(rng, ring, rng.randint(1, 3), witt_degree=fprime,
+                                     weight_range=(0, w))
+                    for w in (hi - 1, 1)
+                ))
+            if ring.level > 1:
+                pairs.append(tuple(
+                    _nilpotent_heavy(rng, ring, rank, fprime, weights)
+                    for rank, weights in ((3, (0, 0, 1)), (2, (0, 0)))
+                ))
+            if fprime == 1 and hi == 2:
+                for weights in ((0, 1), (0, 0, 1)):
+                    cyclic = _build_cyclic(ring, weights, ring.random_unit(rng))
+                    pairs.append((cyclic, _build_cyclic(ring, (1, 0), ring.one)))
+            for m1, m2 in pairs:
+                # equal modules have equal raw data, so zeros are canonical
+                assert tensor(m1, m2) == _dense_tensor(m1, m2)
+                for b1, b2 in zip(m1.blocks, m2.blocks):
+                    nz1, nz2 = (
+                        [x for row in b.phi._raw for x in row if x != ring.zero.data]
+                        for b in (b1, b2)
+                    )
+                    zero_products += sum(ring._mul(x, y) == ring.zero.data for x in nz1 for y in nz2)
+                cases += 1
+    assert cases >= 45
+    # the chain rings reach products of two nonzero entries that vanish
+    assert zero_products >= 50
 
 
 # sha256 of the outputs below, recorded while dual still multiplied by the

@@ -124,8 +124,14 @@ def test_decomposition_dimension_and_weights_exhaustive():
             )
             summand_sums = sorted(w for sm in dec.summands for w in sm.weights)
             assert pair_sums == summand_sums
-            for sm in dec.summands:
+            for s, sm in enumerate(dec.summands):
                 assert sm.weights == sm.spec.i * sm.copies
+                assert sm.weights == tuple(
+                    a.i[r % a.h] + b.i[(s + r) % b.h] for r in range(lcm(a.h, b.h))
+                )
+            # pieces s != s' never agree: that would make |s - s'| < h' a
+            # shift period of i', so minimal_period runs once per piece
+            assert len({sm.weights for sm in dec.summands}) == len(dec.summands)
 
 
 def test_summand_embedding_frozen_diagonal():
@@ -203,6 +209,8 @@ def test_change_of_basis_is_invertible():
         for e in embs:
             assert e.target.blocks[0].phi.rows == target.blocks[0].phi.rows
             assert is_morphism([e.matrix], e.source, e.target)
+            one = summand_embedding(a, b, e.s, e.copy, q)
+            assert (one.matrix, one.source, one.target) == (e.matrix, e.source, e.target)
 
 
 # -- simples valid by construction, embeddings checked by index ------------------

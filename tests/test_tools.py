@@ -7,19 +7,22 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_interleave_runs_this_checkout_against_itself():
+@pytest.mark.parametrize("workload", ["tangent_grid", "module_algebra"])
+def test_interleave_runs_this_checkout_against_itself(workload):
     cmd = [
         sys.executable, os.path.join(ROOT, "tools", "interleave.py"),
         "--parent", ROOT, "--change", ROOT,
-        "--workload", "tangent_grid", "--seed", "1", "--reps", "1",
+        "--workload", workload, "--seed", "1", "--reps", "1",
     ]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert (result["workload"], result["seed"], result["reps"]) == ("tangent_grid", 1, 1)
+    assert (result["workload"], result["seed"], result["reps"]) == (workload, 1, 1)
     assert result["ops"] > 0
     for side in ("parent", "change"):
         metrics = result[side]
