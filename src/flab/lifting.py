@@ -212,7 +212,7 @@ def solve_correction(system):
     back-substitution on the column blocks: equation (a, b), b > a, moves
     C_a^T S Δ_b = ε·(column a of S·C)·Δ_b to its right-hand side."""
     k = system.kring
-    add, sub, mul = k._add, k._sub, k._mul
+    add, sub = k._add, k._sub
     kzero = k.zero.data
     r = system.rank
     # subtracting ε·x is adding x when ε = -1
@@ -226,11 +226,8 @@ def solve_correction(system):
             block = system.diagonal_block(tau, a)
             rhs = []
             for b in range(r - block.nrows, r):
-                acc = dmat[a][b]
-                if b != a:
-                    for x, y in zip(fcols[a], cols[b]):
-                        acc = move(acc, mul(x, y))
-                rhs.append(acc)
+                d = dmat[a][b]
+                rhs.append(d if b == a else move(d, k._dot(fcols[a], cols[b])))
             cols[a] = (
                 _solve_full_row_rank(k, block._raw, rhs, r) if rhs else [kzero] * r
             )

@@ -13,8 +13,9 @@ Arithmetic, transpose, comparison and the eliminations run on the ring's
 ``Matrix._from_data``, which skips the per-entry checks.  Row work goes
 through the ring's row kernels, one call per row: ``_row_submul`` for the
 updates of _gauss_jordan and ``_row_scale`` for its pivot-row and p * r
-scalings and for scalar multiples.  On Z/p^n and the tabled fields they
-reduce once per entry instead of making two ring calls.
+scalings and for scalar multiples.  Each entry of a product is one
+``_dot``.  The kernels reduce once per entry or per dot product instead of
+making two ring calls per term, on every ring that has its own.
 
 One Gauss-Jordan with unit pivots, _gauss_jordan, serves every elimination
 over a field and the unit-pivot ones over W/p^n and k[t]/t^n.  It subtracts
@@ -36,10 +37,11 @@ pivot are left unreduced:
 * rank_field()    the pivot count over a residue field.
 * the dimension counts of tangent.tangent_report.
 
-_form(X, G, Y) gives the raw rows of the bilinear form X^T G Y without the
-general product, skipping the zero entries of G and X: against a unit
-multiple of the standard form, G Y takes r^2 products at most and X^T (G Y)
-r^3; with upper=True only the entries on and above the diagonal are formed.
+_form(X, G, Y) gives the raw rows of the bilinear form X^T G Y: G Y from
+the nonzero entries of G, r^2 products at most against a unit multiple of
+the standard form, then each entry of X^T (G Y) as one ``_dot`` of a
+column of X with a column of G Y; with upper=True only the entries on and
+above the diagonal are formed.
 Its callers are pairing.validate_pairing (the Φ-compatibility check, upper),
 pairing.change_basis (the new Gram V^T G V) and
 lifting.build_correction_system (the defect C^T S C).
@@ -181,23 +183,10 @@ class Matrix:
                 raise RingMismatch("matrices over different rings")
             if self.ncols != other.nrows:
                 raise InvalidInput("inner dimensions differ")
-            ring = self.ring
-            add, mul = ring._add, ring._mul
-            zero = ring.zero.data
+            dot = self.ring._dot
             bcols = list(zip(*other._raw)) if other.nrows else [()] * other.ncols
-            out = []
-            for row in self._raw:
-                nonzero = [(k, a) for k, a in enumerate(row) if a != zero]
-                out_row = []
-                for col in bcols:
-                    acc = zero
-                    for k, a in nonzero:
-                        b = col[k]
-                        if b != zero:
-                            acc = add(acc, mul(a, b))
-                    out_row.append(acc)
-                out.append(out_row)
-            return Matrix._from_data(ring, out, other.ncols)
+            out = [[dot(row, col) for col in bcols] for row in self._raw]
+            return Matrix._from_data(self.ring, out, other.ncols)
         return self._scaled(other)
 
     def __rmul__(self, other):
@@ -396,7 +385,8 @@ def _form(X, G, Y, upper=False):
     diagonal are left zero.
 
     G Y is built from the nonzero entries of each row of G, entries ±1
-    copying or negating a row of Y; sums start at their first term.
+    copying or negating a row of Y; sums start at their first term.  Entry
+    (i, j) is then the dot product of columns i of X and j of G Y.
     """
     ring = G.ring
     add, sub, mul = ring._add, ring._sub, ring._mul
@@ -420,20 +410,12 @@ def _form(X, G, Y, upper=False):
                 add(a, b) if b != zero else a for a, b in zip(acc, term)
             ]
         gy.append([zero] * width if acc is None else acc)
-    x = X._raw
+    dot = ring._dot
+    gycols = list(zip(*gy))
     out = []
-    for i in range(X.ncols):
-        terms = [(row[i], gy[u]) for u, row in enumerate(x) if row[i] != zero]
-        out_row = [zero] * width
-        for j in range(i if upper else 0, width):
-            acc = zero
-            for a, gyrow in terms:
-                b = gyrow[j]
-                if b != zero:
-                    b = mul(a, b)
-                    acc = b if acc == zero else add(acc, b)
-            out_row[j] = acc
-        out.append(out_row)
+    for i, xcol in enumerate(zip(*X._raw)):
+        lo = i if upper else 0
+        out.append([zero] * lo + [dot(xcol, gycols[j]) for j in range(lo, width)])
     return out
 
 

@@ -355,11 +355,13 @@ def divided(A, row_weights, col_weights):
     """The divided matrix p^{row_weights[u] - col_weights[a]} A[u, a].
 
     Entries with a negative gap become zero; callers that need them to
-    vanish check first_unadapted.
+    vanish check first_unadapted.  Entries with a gap of at least the level
+    are zero as well, since p^gap (or t^gap) vanishes there.
     """
     ring = A.ring
     mul = ring._mul
     zero = ring.zero.data
+    level = ring.level
     scales = {}
     rows = []
     for u, row in enumerate(A._raw):
@@ -367,7 +369,7 @@ def divided(A, row_weights, col_weights):
         out = []
         for a, x in enumerate(row):
             gap = wu - col_weights[a]
-            if gap < 0 or x == zero:
+            if gap < 0 or gap >= level or x == zero:
                 out.append(zero)
                 continue
             if gap not in scales:

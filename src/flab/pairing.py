@@ -10,7 +10,12 @@ The axioms checked by validate_pairing:
 * filtration: G_τ[i,j] = 0 whenever w_{τ,i} + w_{τ,j} > s_τ;
 * ε-symmetry: G_τ^T = ε G_τ;
 * perfectness: G_τ invertible, which with the filtration support forces the
-  weight multiset to be self-dual ({w} = {s_τ - w});
+  weight multiset to be self-dual ({w} = {s_τ - w}).  Once the filtration
+  and self-duality checks pass, with v_1 < ... < v_k the distinct weights,
+  v_a + v_b > s_τ exactly when b > k + 1 - a: G_τ is block anti-triangular
+  on these classes, with square anti-diagonal blocks (a, k + 1 - a), and
+  ± the product of their determinants is its own, so it is invertible
+  exactly when each of them is: a unit test for 1 x 1, else is_invertible;
 * Φ-compatibility: Φ_τ^T G_{στ} Φ_τ = c_τ · (p^{s_τ-w_i-w_j} G_τ[i,j])_{ij}.
   The filtration check and this divided Gram are modules.first_unadapted
   and modules.divided with row weights s_τ - w_i and column weights w_j.
@@ -226,7 +231,7 @@ def validate_pairing(paired):
                     )
         if sorted(s - x for x in w) != list(w):
             raise NotPerfect(f"block {tau} weights are not self-dual for s = {s}")
-        if not G.is_invertible():
+        if not _antidiagonal_blocks_invertible(G, w):
             raise NotPerfect(f"block {tau}")
     # every Gram block is ε-symmetric by now, so i <= j decides (module docstring)
     for tau, blk in enumerate(module.blocks):
@@ -236,6 +241,24 @@ def validate_pairing(paired):
         rhs = (L.c[tau] * divided(paired.gram[tau], [L.s[tau] - x for x in w], w))._raw
         if any(lhs[i][j] != rhs[i][j] for i in range(rank) for j in range(i, rank)):
             raise PhiIncompatible(f"block {tau}")
+
+
+def _antidiagonal_blocks_invertible(G, weights):
+    """Whether G, which respects the ascending self-dual weights, is
+    invertible: whether each anti-diagonal weight block is (module docstring)."""
+    ring, g, r = G.ring, G._raw, len(weights)
+    cuts = [i for i in range(r) if i == 0 or weights[i] != weights[i - 1]] + [r]
+    k = len(cuts) - 1
+    for a in range(k):
+        r0, r1, c0 = cuts[a], cuts[a + 1], cuts[k - 1 - a]
+        if r1 - r0 == 1:
+            unit = ring._is_unit(g[r0][c0])
+        else:
+            block = [row[c0 : c0 + r1 - r0] for row in g[r0:r1]]
+            unit = Matrix._from_data(ring, block, r1 - r0).is_invertible()
+        if not unit:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ one raw Newton iteration (``_newton``), and powers one square and multiply
 computes on the raw tuples directly, a row at a time through three row
 kernels (``_row_submul``, ``_row_scale``, ``_dot``): written once in Ring
 on the arithmetic, and taken in one pass per row on Z/p^level and the
-tabled fields by WittRing.  Degrees f above MAX_DEGREE and levels
+tabled fields by WittRing (``_dot`` also on the f = 2 Witt rings and
+k[t]/t^level with f <= 2).  Degrees f above MAX_DEGREE and levels
 above MAX_LEVEL are refused before a ring is built.  Arithmetic per family:
 
 * Z/p^level (f = 1): ``_add``, ``_sub`` and ``_mul`` do one int operation
@@ -43,10 +44,22 @@ above MAX_LEVEL are refused before a ring is built.  Arithmetic per family:
   far more often than that pays back; the cap keeps them to the small fields
   of the eliminations and leaves the ambient fields of up to about 10^6
   elements that flab.gf searches on convolution.
-* Every other ring multiplies by polynomial convolution and reduction mod
-  the minimal polynomial (``WittRing._conv_mul``), and inverts units by
+* Every other Witt ring multiplies by polynomial convolution and reduction
+  mod the minimal polynomial (``WittRing._conv_mul``), and inverts units by
   ``x^(q-2)`` in a large field or by Newton iteration from the residue
   field at higher levels.
+* W(F_{p^2})/p^level above level 1, and F_{p^2} above the table cap:
+  ``_add`` and ``_sub`` are written out on the two coefficients, and
+  ``_dot`` adds the unreduced convolutions of its terms and reduces mod
+  p^level and mod the minimal polynomial once per dot product, the delayed
+  reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, 2008).
+* k[t]/t^level over F_p and F_{p^2}: coefficients are plain ints, taken in
+  θ = x mod m(x) with θ^2 = -m_1 θ - m_0 for f = 2, and zero ones are
+  skipped.  ``_add`` and ``_sub`` reduce each coefficient mod p once.
+  ``_mul`` reduces a coefficient as each term lands on it: a tower
+  multiplies mostly lifts from k, one term per coefficient.  ``_dot`` adds
+  the terms of all its products unreduced (θ^2 folded in as they land) and
+  reduces once per coefficient.  Over larger k the operations are k's own.
 """
 
 from __future__ import annotations
@@ -589,6 +602,8 @@ class WittRing(Ring):
                 return a
             return exp[la + zech[(lb - la) % n]]
         m = self._modulus
+        if self.f == 2:
+            return ((a[0] + b[0]) % m, (a[1] + b[1]) % m)
         return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def _sub(self, a, b):
@@ -608,6 +623,8 @@ class WittRing(Ring):
                 return exp[lb + h]
             return exp[la + zech[(lb + h - la) % n]]
         m = self._modulus
+        if self.f == 2:
+            return ((a[0] - b[0]) % m, (a[1] - b[1]) % m)
         return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def _mul(self, a, b):
@@ -691,7 +708,15 @@ class WittRing(Ring):
         if tables is None:
             tables = self._field_tables()
         if not tables:
-            return Ring._dot(self, xs, ys)
+            if self.f != 2:
+                return Ring._dot(self, xs, ys)
+            c0 = c1 = c2 = 0
+            for (x0, x1), (y0, y1) in zip(xs, ys):
+                c0 += x0 * y0
+                c1 += x0 * y1 + x1 * y0
+                c2 += x1 * y1
+            m, mp = self._modulus, self.minimal_poly
+            return ((c0 - c2 * mp[0]) % m, (c1 - c2 * mp[1]) % m)
         log, exp = tables
         zech, n, _ = self._zech
         zero_log = 2 * n
@@ -872,30 +897,79 @@ class DualNumbersRing(Ring):
         for coeff in data:
             self._kring._check_data(coeff)
 
+    # plain ints over F_p and F_{p^2} (module docstring, arithmetic per family)
+
     def _add(self, a, b):
-        k = self._kring
-        return tuple([k._add(x, y) for x, y in zip(a, b)])
+        p = self.p
+        if self.f == 1:
+            return tuple([((x + y) % p,) for (x,), (y,) in zip(a, b)])
+        if self.f == 2:
+            return tuple([((x0 + y0) % p, (x1 + y1) % p) for (x0, x1), (y0, y1) in zip(a, b)])
+        return tuple(map(self._kring._add, a, b))
 
     def _sub(self, a, b):
-        k = self._kring
-        return tuple([k._sub(x, y) for x, y in zip(a, b)])
+        p = self.p
+        if self.f == 1:
+            return tuple([((x - y) % p,) for (x,), (y,) in zip(a, b)])
+        if self.f == 2:
+            return tuple([((x0 - y0) % p, (x1 - y1) % p) for (x0, x1), (y0, y1) in zip(a, b)])
+        return tuple(map(self._kring._sub, a, b))
 
     def _mul(self, a, b):
+        n, p = self.level, self.p
+        out = list(self._zero.data)
+        if self.f == 1:
+            for i, (x,) in enumerate(a):
+                if x:
+                    for j in range(n - i):
+                        (y,) = b[j]
+                        if y:
+                            out[i + j] = ((out[i + j][0] + x * y) % p,)
+            return tuple(out)
+        if self.f == 2:
+            m0, m1, _ = self.minimal_poly
+            for i, (x0, x1) in enumerate(a):
+                if x0 or x1:
+                    for j in range(n - i):
+                        y0, y1 = b[j]
+                        if y0 or y1:
+                            u0, u1 = out[i + j]
+                            w = x1 * y1
+                            out[i + j] = (
+                                (u0 + x0 * y0 - w * m0) % p,
+                                (u1 + x0 * y1 + x1 * y0 - w * m1) % p,
+                            )
+            return tuple(out)
+        # coefficient d is the dot product of a_0 .. a_d with b_d .. b_0 over k
         k = self._kring
-        kzero = k._zero.data
-        n = self.level
-        # a coefficient still holding the zero object takes its first
-        # product as it is; only later products are added
-        out = [kzero] * n
-        for i, ai in enumerate(a):
-            if ai != kzero:
-                for j in range(n - i):
-                    bj = b[j]
-                    if bj != kzero:
-                        prod = k._mul(ai, bj)
-                        c = out[i + j]
-                        out[i + j] = prod if c is kzero else k._add(c, prod)
-        return tuple(out)
+        return tuple([k._dot(a[: d + 1], b[d::-1]) for d in range(n)])
+
+    def _dot(self, xs, ys):
+        n, p = self.level, self.p
+        if self.f == 1:
+            c = [0] * n
+            for a, b in zip(xs, ys):
+                for i, (x,) in enumerate(a):
+                    if x:
+                        for j in range(n - i):
+                            (y,) = b[j]
+                            if y:
+                                c[i + j] += x * y
+            return tuple([(u % p,) for u in c])
+        if self.f == 2:
+            m0, m1, _ = self.minimal_poly
+            c = [(0, 0)] * n
+            for a, b in zip(xs, ys):
+                for i, (x0, x1) in enumerate(a):
+                    if x0 or x1:
+                        for j in range(n - i):
+                            y0, y1 = b[j]
+                            if y0 or y1:
+                                u0, u1 = c[i + j]
+                                w = x1 * y1
+                                c[i + j] = (u0 + x0 * y0 - w * m0, u1 + x0 * y1 + x1 * y0 - w * m1)
+            return tuple([(u0 % p, u1 % p) for u0, u1 in c])
+        return Ring._dot(self, xs, ys)
 
     def _all_data(self):
         for coeffs in itertools.product(self._kring._all_data(), repeat=self.level):

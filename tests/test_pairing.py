@@ -145,6 +145,100 @@ def test_phi_check_on_the_upper_triangle_decides_the_full_equation():
                                 assert _outcome(lambda: validate_pairing(bad)) == expected
 
 
+# -- validate_pairing's weight shortcuts ----------------------------------------
+
+SHORTCUT_RINGS = (
+    make_field(5),
+    make_field(9),
+    make_ring("witt", 5, 1, 2),
+    make_ring("witt", 3, 2, 2),
+    make_ring("witt", 3, 1, 3),
+    make_ring("dual_numbers", 3, 1, 2),
+    make_ring("dual_numbers", 3, 2, 3),
+)
+
+
+def _self_dual_weights(rng):
+    """(s, ascending weights w with {w} = {s - w}), classes of 1 to 3 equal
+    weights, mirrored classes of the same size."""
+    s = rng.randint(1, 7)
+    low = sorted(rng.sample(range((s + 1) // 2), rng.randint(s % 2, (s + 1) // 2)))
+    sizes = [rng.randint(1, 3) for _ in low]
+    middle = [s // 2] * rng.randint(1, 3) if s % 2 == 0 and (rng.random() < 0.5 or not low) else []
+    weights = [v for v, m in zip(low, sizes) for _ in range(m)] + middle
+    weights += [s - v for v, m in reversed(list(zip(low, sizes))) for _ in range(m)]
+    return s, weights
+
+
+def _entry(ring, rng):
+    # zero, a non-unit or a random element, so both verdicts come up
+    c = rng.random()
+    if c < 0.25:
+        return ring.zero
+    if c < 0.45 and ring.level > 1:
+        return ring.pi() * ring.random_element(rng)
+    return ring.random_element(rng)
+
+
+def test_weight_block_verdict_equals_is_invertible():
+    # Grams that respect self-dual weights, symmetric or not, over fields and
+    # chain rings: the anti-diagonal blocks decide invertibility
+    rng = random.Random(2808)
+    for ring in SHORTCUT_RINGS:
+        seen = {True: 0, False: 0}
+        repeated = 0
+        for _ in range(150):
+            s, w = _self_dual_weights(rng)
+            r = len(w)
+            assert sorted(s - x for x in w) == w
+            rows = [
+                [_entry(ring, rng) if w[i] + w[j] <= s else ring.zero for j in range(r)]
+                for i in range(r)
+            ]
+            G = Matrix(ring, rows)
+            verdict = flab.pairing._antidiagonal_blocks_invertible(G, w)
+            assert verdict == G.is_invertible(), (ring, w, s, rows)
+            seen[verdict] += 1
+            repeated += len(set(w)) < r
+        assert seen[True] and seen[False] and repeated, (ring, seen, repeated)
+
+
+def test_singular_weight_block_of_units_is_not_perfect():
+    # weights (0, 0, 1, 1) against s = 1: the 2x2 anti-diagonal blocks are all
+    # units and singular, so G is; the message is the one is_invertible gave
+    for ring in (make_field(5), make_ring("witt", 5, 1, 2), make_ring("dual_numbers", 5, 1, 2)):
+        module = FLModule(ring, (0, 1), [FLBlock((0, 0, 1, 1), Matrix.identity(ring, 4))])
+        L = LData(1, (1,), (ring.one,))
+        for block, expected in (([[1, 1], [1, 1]], False), ([[1, 2], [2, 1]], True)):
+            rows = [[0, 0] + row for row in block] + [row + [0, 0] for row in block]
+            G = Matrix(ring, rows)
+            assert flab.pairing._antidiagonal_blocks_invertible(G, (0, 0, 1, 1)) is expected
+            assert G.is_invertible() is expected
+            if not expected:
+                with pytest.raises(NotPerfect, match="^block 0$"):
+                    validate_pairing(PairedFLModule(module, L, (G,)))
+
+
+def test_divided_is_the_power_of_pi_times_the_entry_past_the_level():
+    # gaps from -2 to level + 2: p^gap x (t^gap x) entry by entry, zero for a
+    # negative gap, by ring arithmetic rather than the skip
+    rng = random.Random(31)
+    for ring in SHORTCUT_RINGS + (make_ring("dual_numbers", 5, 1, 3),):
+        n = ring.level
+        for _ in range(20):
+            rw = [rng.randint(0, n + 2) for _ in range(3)]
+            cw = [rng.randint(0, 2) for _ in range(4)]
+            A = Matrix(ring, [[ring.random_element(rng) for _ in cw] for _ in rw])
+            expected = tuple(
+                tuple(
+                    ring.pi_pow(u - a) * x if u >= a else ring.zero
+                    for x, a in zip(row, cw)
+                )
+                for row, u in zip(A.rows, rw)
+            )
+            assert divided(A, rw, cw).rows == expected, (ring, rw, cw)
+
+
 def test_ldata_validation():
     ring = make_field(5)
     with pytest.raises(InvalidInput):

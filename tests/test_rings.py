@@ -11,10 +11,13 @@ import pytest
 from flab.errors import InvalidInput, RingMismatch
 from flab.gf import field_generator
 from flab.rings import (
+    LOG_TABLE_MAX_Q,
     MAX_DEGREE,
     MAX_LEVEL,
     PRIME_TRIAL_BOUND,
+    DualNumbersRing,
     RingElem,
+    WittRing,
     _encoding_order,
     _prime_factors,
     _split_prime_power,
@@ -360,6 +363,112 @@ def test_dual_numbers_mul_is_the_truncated_convolution():
                         c = add[c, prod[a[i], b[m - i]]]
                     expected.append(c)
                 assert ring._mul(a, b) == tuple(expected), (ring, a, b)
+
+
+# -- integer fast paths against independent arithmetic -----------------------
+
+
+def _through_k(ring, xs, ys, k=None):
+    """The dot product of xs and ys in k[t]/t^n as polynomials mod t^n, by
+    k's own _add and _mul only (k the residue field unless given); one pair
+    is the product."""
+    k = k or ring.residue_ring()
+    n = ring.level
+    out = [k.zero.data] * n
+    for a, b in zip(xs, ys):
+        for i in range(n):
+            for j in range(n - i):
+                out[i + j] = k._add(out[i + j], k._mul(a[i], b[j]))
+    return tuple(out)
+
+
+def _sparse_dual_element(ring, rng):
+    # about half the coefficients zero, as in the lifts of a tower
+    k = ring.residue_ring()
+    return tuple(
+        k.random_element(rng).data if rng.random() < 0.5 else k.zero.data
+        for _ in range(ring.level)
+    )
+
+
+def _check_dual_against_k(ring, pairs, vectors):
+    k = ring.residue_ring()
+    for a, b in pairs:
+        assert ring._add(a, b) == tuple(k._add(x, y) for x, y in zip(a, b)), (ring, a, b)
+        assert ring._sub(a, b) == tuple(k._sub(x, y) for x, y in zip(a, b)), (ring, a, b)
+        product = _through_k(ring, [a], [b])
+        assert ring._mul(a, b) == product and ring._dot([a], [b]) == product, (ring, a, b)
+    for xs, ys in vectors:
+        assert ring._dot(xs, ys) == _through_k(ring, xs, ys), (ring, xs, ys)
+
+
+def test_dual_numbers_fast_paths_match_arithmetic_in_k():
+    # exhaustive on F_3[t]/t^2 and on all 6561 pairs of F_9[t]/t^2 (the
+    # F_p and F_{p^2} paths), seeded on F_{13^2}[t]/t^3, and on F_{5^3}[t]/t^2,
+    # which keeps the operations of k
+    rng = random.Random(28)
+    for ring in (make_ring("dual_numbers", 3, 1, 2), D9_2):
+        data = list(ring._all_data())
+        pairs = [(a, b) for a in data for b in data]
+        vectors = [
+            tuple(zip(*rng.sample(pairs, length))) or ((), ())
+            for length in (0, 1, 2, 3, 5, 8)
+            for _ in range(40)
+        ]
+        _check_dual_against_k(ring, pairs, vectors)
+    for ring in (make_ring("dual_numbers", 13, 2, 3), make_ring("dual_numbers", 5, 3, 2)):
+        elems = [_sparse_dual_element(ring, rng) for _ in range(60)]
+        elems += [ring.zero.data, ring.one.data, ring.pi().data]
+        pairs = [(a, b) for a in elems for b in elems[::3]]
+        vectors = [
+            ([rng.choice(elems) for _ in range(length)], [rng.choice(elems) for _ in range(length)])
+            for length in (0, 1, 2, 4, 7)
+            for _ in range(40)
+        ]
+        _check_dual_against_k(ring, pairs, vectors)
+    # every odd p has an x^2 + c to take, so the x term of the minimal
+    # polynomial is exercised only by a model of F_9 built on x^2 + x + 2
+    mp = (2, 1, 1)
+    ring, k = DualNumbersRing(3, 2, 3, mp), WittRing(3, 2, 1, mp)
+    elems = [_sparse_dual_element(ring, rng) for _ in range(80)]
+    for a in elems:
+        for b in elems[::5]:
+            assert ring._mul(a, b) == _through_k(ring, [a], [b], k), (a, b)
+    for length in (2, 3, 6):
+        xs, ys = rng.sample(elems, length), rng.sample(elems, length)
+        assert ring._dot(xs, ys) == _through_k(ring, xs, ys, k), (xs, ys)
+
+
+def test_witt_degree_two_kernels_match_the_convolution():
+    # W(F_9)/27 and the untabled field F_{67^2}, whose f = 2 sums and dot
+    # products no longer go through the coefficient loops and _conv_mul
+    rng = random.Random(67)
+    assert 67**2 > LOG_TABLE_MAX_Q
+    # W(F_9)/27 once more on x^2 + x + 2, whose x term the reduction uses
+    for ring in (make_ring("witt", 3, 2, 3), make_field(67**2), WittRing(3, 2, 3, (2, 1, 1))):
+        assert ring._field_tables() is False
+        m = ring._modulus
+        zero = ring.zero.data
+        top = (m - 1, m - 1)
+        elems = [ring.random_element(rng).data for _ in range(120)]
+        elems += [zero, ring.one.data, top, (0, m - 1), (m - 1, 0)]
+        for a in elems:
+            for b in elems[::4]:
+                assert ring._add(a, b) == tuple((x + y) % m for x, y in zip(a, b)), (a, b)
+                assert ring._sub(a, b) == tuple((x - y) % m for x, y in zip(a, b)), (a, b)
+        for length in (0, 1, 2, 3, 6, 16):
+            for _ in range(40):
+                xs = [rng.choice(elems) for _ in range(length)]
+                ys = [rng.choice(elems) for _ in range(length)]
+                expected = zero
+                for x, y in zip(xs, ys):
+                    t = ring._conv_mul(x, y)
+                    expected = tuple((u + v) % m for u, v in zip(expected, t))
+                assert ring._dot(xs, ys) == expected, (ring, xs, ys)
+        # a dot product of the extremes, far past one reduction per term
+        assert ring._dot([top] * 50, [top] * 50) == ring._conv_mul(
+            ring.from_int(50).data, ring._conv_mul(top, top)
+        )
 
 
 def test_log_table_cap_verdict():

@@ -14,9 +14,13 @@ first alternates from op to op and from one repetition to the next.  Per
 side, each op's latency is its median over the repetitions, and ops_per_s,
 op_ms.p50 and op_ms.tail are computed from those medians as bench/run.py
 computes them (its canonical form, set-up and tail are used as they are).
-The last stdout line is a JSON result with both sides and change ÷ parent.
-Only the standard library is needed, and nothing is written under either
-checkout: the workload's files go to a temporary directory.
+The last stdout line is a JSON result with both sides and change ÷ parent,
+plus two breakdowns of the per-op medians: ``classes``, the summed
+latency of each op class (the workload's op key) on both sides, and
+``tail_ops``, the parent's slowest ops, from the one that sets op_ms.tail
+up, with their latency on both sides.  Only the standard library is
+needed, and nothing is written under either checkout: the workload's files
+go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -75,8 +79,11 @@ class Side:
     def enter(self):
         sys.modules.update(self.modules)
 
+    def op_ms(self):
+        return [statistics.median(lat) for lat in self.latencies]
+
     def metrics(self, bench_run):
-        op_ms = [statistics.median(lat) for lat in self.latencies]
+        op_ms = self.op_ms()
         return {
             "ops_per_s": 1e3 * len(op_ms) / sum(op_ms),
             "op_ms.p50": statistics.median(op_ms),
@@ -135,6 +142,10 @@ def main(argv=None):
     parent, change = (side.metrics(bench_run) for side in sides)
     for side, values in zip(sides, (parent, change)):
         print(f"{side.label}: " + ", ".join(f"{k} {v:.4f}" for k, v in values.items()))
+    breakdown = _breakdown(sides, bench_run)
+    for name, row in breakdown["classes"].items():
+        print(f"class {name}: {row['ops']} ops, {row['parent_ms']:.3f} -> "
+              f"{row['change_ms']:.3f} ms, x{row['ratio']:.3f}")
     print(
         f"{args.workload} seed {args.seed}: {n_ops} ops, {args.reps} repetitions, "
         "every canonical result identical on both sides"
@@ -147,8 +158,34 @@ def main(argv=None):
         "parent": parent,
         "change": change,
         "ratio": {name: change[name] / parent[name] for name in parent},
+        **breakdown,
     }))
     return 0
+
+
+def _breakdown(sides, bench_run):
+    """Per-class sums and the tail ops of the per-op medians of both sides."""
+    parent_ms, change_ms = (side.op_ms() for side in sides)
+    classes = {}
+    for op, a, b in zip(sides[0].ops, parent_ms, change_ms):
+        row = classes.setdefault(str(op.key), {"ops": 0, "parent_ms": 0.0, "change_ms": 0.0})
+        row["ops"] += 1
+        row["parent_ms"] += a
+        row["change_ms"] += b
+    for row in classes.values():
+        row["ratio"] = row["change_ms"] / row["parent_ms"]
+    slowest = sorted(range(len(parent_ms)), key=parent_ms.__getitem__, reverse=True)
+    tail_ops = [
+        {
+            "op": i,
+            "class": str(sides[0].ops[i].key),
+            "parent_ms": parent_ms[i],
+            "change_ms": change_ms[i],
+            "ratio": change_ms[i] / parent_ms[i],
+        }
+        for i in slowest[: bench_run.TAIL_BEYOND + 1]
+    ]
+    return {"classes": classes, "tail_ops": tail_ops}
 
 
 if __name__ == "__main__":
