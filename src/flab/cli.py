@@ -137,7 +137,7 @@ def _cmd_validate(args):
 
 def _cmd_lift(args):
     paired = _load_paired(args.path)
-    # lift_tower validates the pairing, through normalize_standard
+    # lift_tower validates the pairing of its input and of its top stage
     validate(paired.module)
     family = "dual_numbers" if args.family == "dual" else "witt"
     chain = lift_tower(paired, args.tower_depth, family=family)

@@ -22,6 +22,11 @@ orthogonal pairings the diagonal equations (a, a) are included, each with a
 factor 2 (a unit, p odd).  Since S^T = ε S, the term of equation (a, b) in
 an already solved column b is C_a^T S Δ_b = ε·(column a of S·C)·Δ_b, which
 moves to the right-hand side.
+
+The operator Δ ↦ Δ^T S C + C^T S Δ sees only the residue C̄ of Φ, the same
+at every level, so a tower builds and eliminates it once (_ResidueOperator).
+Each stage is checked to reduce exactly to the one below, and reduction is a
+ring map, so the axioms of a tower's top stage imply those of all its stages.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class LiftProblem:
     nothing; a base already in standard form is stored as it is.
     """
 
-    __slots__ = ("base", "surj")
+    __slots__ = ("base", "surj", "_operator")
 
     def __init__(self, base, surj):
         if base.module.ring != surj.target:
@@ -69,15 +74,62 @@ class LiftProblem:
         check_weight_spread(base.module)
         self.base = _normalize(base).pairing
         self.surj = surj
+        self._operator = None
 
 
-def _checked_problem(base, surj):
-    # a LiftProblem whose base the caller has already validated and put in
-    # standard form
+def _checked_problem(base, surj, operator):
+    # a LiftProblem whose base the caller has checked and normalized
     prob = object.__new__(LiftProblem)
-    prob.base = base
-    prob.surj = surj
+    prob.base, prob.surj, prob._operator = base, surj, operator
     return prob
+
+
+def _block_solver(kring, rows, width):
+    """Solution map rhs ↦ x of a full-row-rank system T x = rhs over a field:
+    one Gauss-Jordan on [T | I] keeps the pivot columns and the rows E that I
+    becomes, and x[pivot_cols[i]] = E_i · rhs, free coordinates zero.  This
+    is Gauss-Jordan on [T | rhs] byte for byte: the pivot search reads only
+    T, so both get the same row operations, and rhs ends as E·rhs."""
+    zero, one, dot, m = kring.zero.data, kring.one.data, kring._dot, len(rows)
+    work = [list(row) + [zero] * i + [one] + [zero] * (m - 1 - i) for i, row in enumerate(rows)]
+    work, pivot_cols = _gauss_jordan(kring, work, width)
+    if len(pivot_cols) != m:
+        raise InternalRankFailure("correction block lost full row rank")
+    ops = {col: row[width:] for col, row in zip(pivot_cols, work)}
+    return lambda rhs: [dot(ops[j], rhs) if j in ops else zero for j in range(width)]
+
+
+def _diagonal_rows(kring, columns, eps, a):
+    # diagonal block (τ, a) from the columns of S·C̄_τ (diagonal_block)
+    head = [[kring._add(x, x) for x in columns[a]]] if eps == 1 else []
+    return head + list(columns[a + 1 :])
+
+
+class _ResidueOperator:
+    """The operator Δ ↦ Δ^T S C̄ + C̄^T S Δ of a lift, eliminated: coeff[τ] is
+    the residue C̄_τ of Φ_τ, functionals[τ] = S·C̄_τ with columns columns[τ],
+    and solvers[τ][a] solves diagonal block (τ, a).  Row u of S·C̄ is
+    C̄[r-1-u], negated when ε = -1 and u >= r/2 (standard_gram)."""
+
+    __slots__ = ("coeff", "functionals", "columns", "solvers")
+
+    def __init__(self, module, eps):
+        ring, r = module.ring, module.rank
+        k = ring.residue_ring()
+        self.coeff = tuple(blk.phi._map_data(ring._residue_data, k) for blk in module.blocks)
+        flip = [1] * r if eps == 1 else [1] * (r // 2) + [-1] * (r // 2)
+        self.functionals = tuple(
+            Matrix._from_data(k, [
+                row if sign == 1 else [k._sub(k.zero.data, x) for x in row]
+                for sign, row in zip(flip, C._raw[::-1])
+            ], r)
+            for C in self.coeff
+        )
+        self.columns = tuple(F.transpose()._raw for F in self.functionals)
+        self.solvers = tuple(
+            tuple(_block_solver(k, _diagonal_rows(k, cols, eps, a), r) for a in range(r))
+            for cols in self.columns
+        )
 
 
 class CorrectionSystem:
@@ -87,7 +139,8 @@ class CorrectionSystem:
     its residue, which is all of C_τ the linear operator sees since
     m_{R′} I = 0; functionals[τ] = S·coeff[τ] over k, whose column b is the
     functional x ↦ x^T S C_b; defect[τ] holds the defect constants as
-    residue-field scalars under the kernel identification.
+    residue-field scalars under the kernel identification.  coeff and
+    functionals are those of the residue operator.
     """
 
     __slots__ = (
@@ -100,6 +153,7 @@ class CorrectionSystem:
         "epsilon",
         "rank",
         "kring",
+        "_operator",
     )
 
     def __init__(self, **fields):
@@ -115,13 +169,7 @@ class CorrectionSystem:
         row b is column b of functionals[τ], doubled when b = a.
 
         These are the blocks solve_correction solves."""
-        F = self.functionals[tau]._raw
-        add = self.kring._add
-        rows = []
-        start = a if self.epsilon == 1 else a + 1
-        for b in range(start, self.rank):
-            col = [row[b] for row in F]
-            rows.append([add(x, x) for x in col] if b == a else col)
+        rows = _diagonal_rows(self.kring, self._operator.columns[tau], self.epsilon, a)
         return Matrix._from_data(self.kring, rows, self.rank)
 
 
@@ -130,7 +178,8 @@ def build_correction_system(prob):
     coefficients over the residue field.
 
     prob checked its base and put it in standard form when it was built, so
-    ω_τ is entry (0, r-1) of Gram τ, where the standard form S is 1."""
+    ω_τ is entry (0, r-1) of Gram τ, where the standard form S is 1.  The
+    residue operator is prob's when it carries one, else built here."""
     surj = prob.surj
     upper = surj.source
     base = prob.base
@@ -152,9 +201,8 @@ def build_correction_system(prob):
     std_upper = standard_gram(upper, rank, eps)
     uzero = upper.zero.data
     kring = upper.residue_ring()
-    std_k = standard_gram(kring, rank, eps)
+    op = prob._operator or _ResidueOperator(module, eps)
     defects = []
-    coeffs = []
     for tau in range(fprime):
         C = lifts[tau]
         dmat = (
@@ -179,71 +227,46 @@ def build_correction_system(prob):
                     ) from exc
             rows.append(row)
         defects.append(Matrix._from_data(kring, rows, rank))
-        coeffs.append(module.blocks[tau].phi._map_data(ring._residue_data, kring))
     return CorrectionSystem(
         lifts=lifts,
         omega_lift=omega_lift,
         c_lift=c_lift,
         defect=tuple(defects),
-        coeff=tuple(coeffs),
-        functionals=tuple(std_k * C for C in coeffs),
+        coeff=op.coeff,
+        functionals=op.functionals,
         epsilon=eps,
         rank=rank,
         kring=kring,
+        _operator=op,
     )
-
-
-def _solve_full_row_rank(kring, rows, rhs, width):
-    """Solution of a full-row-rank system on raw data by Gauss-Jordan on
-    [T | rhs]: the pivots are the leftmost independent columns and the free
-    coordinates stay zero."""
-    work = [list(row) + [val] for row, val in zip(rows, rhs)]
-    work, pivot_cols = _gauss_jordan(kring, work, width)
-    if len(pivot_cols) != len(work):
-        raise InternalRankFailure("correction block lost full row rank")
-    x = [kring.zero.data] * width
-    for row, col in zip(work, pivot_cols):
-        x[col] = row[width]
-    return x
 
 
 def solve_correction(system):
     """Per-block Δ over k with T(Δ) equal to the defects, by descending
     back-substitution on the column blocks: equation (a, b), b > a, moves
-    C_a^T S Δ_b = ε·(column a of S·C)·Δ_b to its right-hand side."""
+    C_a^T S Δ_b = ε·(column a of S·C)·Δ_b to its right-hand side, and the
+    eliminated diagonal block (τ, a) maps the right-hand side to Δ_a."""
     k = system.kring
-    add, sub = k._add, k._sub
-    kzero = k.zero.data
     r = system.rank
     # subtracting ε·x is adding x when ε = -1
-    move = sub if system.epsilon == 1 else add
+    move = k._sub if system.epsilon == 1 else k._add
     deltas = []
     for tau in range(system.witt_degree):
-        fcols = system.functionals[tau].transpose()._raw
+        fcols = system._operator.columns[tau]
         dmat = system.defect[tau]._raw
         cols = {}
         for a in range(r - 1, -1, -1):
-            block = system.diagonal_block(tau, a)
             rhs = []
-            for b in range(r - block.nrows, r):
+            for b in range(a if system.epsilon == 1 else a + 1, r):
                 d = dmat[a][b]
                 rhs.append(d if b == a else move(d, k._dot(fcols[a], cols[b])))
-            cols[a] = (
-                _solve_full_row_rank(k, block._raw, rhs, r) if rhs else [kzero] * r
-            )
-        deltas.append(
-            Matrix._from_data(k, [[cols[a][u] for a in range(r)] for u in range(r)], r)
-        )
+            cols[a] = system._operator.solvers[tau][a](rhs)
+        deltas.append(Matrix._from_data(k, [cols[a] for a in range(r)], r).transpose())
     return tuple(deltas)
 
 
-def lift_small(prob):
-    """One-step lift: returns P′ over the source ring, in standard form, with
-    reduce_paired(P′) equal to prob.base, the standard form of the base,
-    bit-for-bit.
-
-    The result is checked once: module axioms, pairing axioms and the
-    reduction to the base."""
+def _lift_step(prob):
+    # lift_small without the axiom checks of its result (lift_tower)
     system = build_correction_system(prob)
     deltas = solve_correction(system)
     surj = prob.surj
@@ -270,10 +293,21 @@ def lift_small(prob):
         LData(eps, base.L.s, system.c_lift),
         tuple(system.omega_lift[tau] * std_upper for tau in range(system.witt_degree)),
     )
-    validate(lifted_module)
-    validate_pairing(lifted)
     if reduce_paired(lifted, surj) != base:
         raise InternalRankFailure("lift does not reduce to the normalized base")
+    return lifted
+
+
+def lift_small(prob):
+    """One-step lift: returns P′ over the source ring, in standard form, with
+    reduce_paired(P′) equal to prob.base, the standard form of the base,
+    bit-for-bit.
+
+    The result is checked once: the reduction to the base, module axioms and
+    pairing axioms."""
+    lifted = _lift_step(prob)
+    validate(lifted.module)
+    validate_pairing(lifted)
     return lifted
 
 
@@ -282,11 +316,11 @@ def lift_tower(base, n, family="witt"):
 
     The base must live over the residue field; it is normalized first, so the
     chain starts at its standard form and every successive reduction is exact.
-    normalize_standard validates the base pairing and is the only
-    normalization of the tower: each lift_small returns Grams ω′_τ · S, so
-    every later stage is in standard form by construction.  For n >= 2 the
-    other LiftProblem checks run once on the start, and each lift_small
-    checks only its result, which is the next level's base.
+    Each lift returns Grams ω′_τ · S, so every later stage is in standard form
+    by construction.  n = 1 returns normalize_standard of the base.  For
+    n >= 2 the base and the start are checked once, one residue operator
+    serves every stage, and only the top stage, lifted by lift_small, has its
+    axioms checked, which certifies the stages below (module docstring).
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInput("tower depth must be a positive integer")
@@ -295,18 +329,23 @@ def lift_tower(base, n, family="witt"):
     ring = base.module.ring
     if not ring.is_field():
         raise InvalidInput("tower base must live over the residue field")
-    start = normalize_standard(base).pairing
+    if n == 1:
+        start = normalize_standard(base).pairing
+    else:
+        validate_pairing(base)
+        check_multiplicity_free(base.module)
+        start = _normalize(base).pairing
     level1 = make_ring(family, ring.p, ring.f, 1)
     if level1 != ring:
         # the residue field as the level-1 ring of the family
         start = _map_paired(start, lambda x: level1._lift_data(ring, x), level1)
+    chain = [start]
     if n > 1:
-        # normalize_standard has checked the pairing and the distinct weights
         validate(start.module)
         check_weight_spread(start.module)
-    chain = [start]
+        operator = _ResidueOperator(start.module, start.L.epsilon)
     for level in range(2, n + 1):
         upper = make_ring(family, ring.p, ring.f, level)
-        surj = make_small_surjection(upper)
-        chain.append(lift_small(_checked_problem(chain[-1], surj)))
+        prob = _checked_problem(chain[-1], make_small_surjection(upper), operator)
+        chain.append((lift_small if level == n else _lift_step)(prob))
     return chain

@@ -26,7 +26,7 @@ reduced echelon form:
 * inverse()       on [A | I] (a square matrix over a local ring is
                   invertible iff every column has a unit pivot).
 * kernel_gens()   over a field, the basis read off the reduced rows.
-* lifting._solve_full_row_rank on [T | rhs], tangent.delta_space, and the
+* lifting._block_solver on [T | I], tangent.delta_space, and the
   right-to-left echelon form of modules._hom_on_gr.
 
 Forward-only mode counts pivots and inverts nothing; the rows above each

@@ -197,10 +197,11 @@ def validate_pairing(paired):
     """Check all pairing axioms; module validity is the caller's precondition.
 
     The public entry points call it: once on each input pairing
-    (normalize_standard, LiftProblem, tangent_report over a field,
-    delta_space) and once on each pairing they return (normalize_standard,
-    lift_small).  Private paths between them, such as _normalize, do not
-    repeat it.
+    (normalize_standard, LiftProblem, lift_tower, tangent_report over a
+    field, delta_space) and once on each pairing they return
+    (normalize_standard, lift_small).  lift_tower checks only its top stage,
+    through lift_small: the stages below reduce exactly from it.  Private
+    paths between them, such as _normalize, do not repeat it.
     """
     module = paired.module
     L = paired.L

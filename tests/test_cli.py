@@ -122,10 +122,12 @@ def test_lift_validates_the_input_pairing_once(monkeypatch, pcanon2_path, capsys
     for module in (flab.cli, flab.lifting, flab.pairing):
         monkeypatch.setattr(module, "validate_pairing", counting)
     assert main(["lift", pcanon2_path, "--tower-depth", str(depth)]) == 0
-    capsys.readouterr()
-    # the input and its normal form, then each lifted level once
-    assert len(calls) == depth + 1
+    docs = json.loads(capsys.readouterr().out)
+    # the input, then the printed top stage: its normal form at depth 1, else
+    # the last lift, whose check certifies the levels below it
+    assert len(calls) == 2
     assert calls[0] == pcanon2()
+    assert paired_to_dict(calls[-1]) == docs[-1]
 
 
 def test_lift_needs_a_pairing(tmp_path, capsys):

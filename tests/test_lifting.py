@@ -283,6 +283,93 @@ def test_lift_outputs_are_frozen():
     assert _lift_digest() == FROZEN_LIFT_SHA256
 
 
+# -- one operator and one postcondition per tower ------------------------------
+
+
+def _tower_cases():
+    """(family, base) over F_p and F_{p^2}: both families, ε = ±1, f' = 1, 2."""
+    rng = random.Random(61)
+    for family in ("witt", "dual_numbers"):
+        for eps, rank in ((1, 3), (-1, 2), (-1, 4)):
+            for fprime in (1, 2):
+                field = make_field(LIFT_PRIMES[rank] ** fprime)
+                base = random_paired_module(
+                    rng, field, rank, eps, witt_degree=fprime, s=rank - 1
+                )
+                yield family, base
+
+
+def test_tower_equals_the_chain_of_checked_lifts():
+    # each stage lifted by the public, checked lift_small from a fresh
+    # LiftProblem, which rebuilds its own residue operator
+    for family, base in _tower_cases():
+        ring = base.module.ring
+        reference = lift_tower(base, 1, family=family)
+        for level in range(2, 7):
+            surj = make_small_surjection(make_ring(family, ring.p, ring.f, level))
+            reference.append(lift_small(LiftProblem(reference[-1], surj)))
+        expected = [dumps_canonical(paired_to_dict(stage)) for stage in reference]
+        for n in range(1, 7):
+            chain = lift_tower(base, n, family=family)
+            assert chain == reference[:n]
+            assert [dumps_canonical(paired_to_dict(stage)) for stage in chain] == expected[:n]
+
+
+def test_functionals_are_the_product_with_the_standard_form():
+    for family, base in _tower_cases():
+        ring = base.module.ring
+        surj = make_small_surjection(make_ring(family, ring.p, ring.f, 2))
+        (start,) = lift_tower(base, 1, family=family)
+        system = build_correction_system(LiftProblem(start, surj))
+        std_k = standard_gram(system.kring, system.rank, system.epsilon)
+        for C, F in zip(system.coeff, system.functionals):
+            assert F == std_k * C
+
+
+@pytest.mark.parametrize("family", ["witt", "dual_numbers"])
+def test_tower_eliminates_each_diagonal_block_once(monkeypatch, family):
+    base = random_paired_module(random.Random(67), make_field(11**2), 4, -1, witt_degree=2, s=3)
+    calls = []
+    original = flab.lifting._gauss_jordan
+
+    def counting(ring, rows, width, forward_only=False):
+        calls.append(len(rows))
+        return original(ring, rows, width, forward_only)
+
+    monkeypatch.setattr(flab.lifting, "_gauss_jordan", counting)
+    for n in (2, 5):
+        calls.clear()
+        assert len(lift_tower(base, n, family=family)) == n
+        # blocks (τ, a) of heights 3, 2, 1, 0 in each of the two blocks τ
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("family", ["witt", "dual_numbers"])
+@pytest.mark.parametrize("corrupted", [2, 3])
+def test_tower_catches_a_corrupted_unchecked_stage(monkeypatch, family, corrupted):
+    # the private step adds a kernel element to one Φ entry of one level
+    # below the top: the stage still reduces to the one below it, and its
+    # axioms are never checked, but the next lift can no longer be built
+    step = flab.lifting._lift_step
+
+    def corrupting(prob):
+        lifted = step(prob)
+        ring = lifted.module.ring
+        if ring.level != corrupted:
+            return lifted
+        blk = lifted.module.blocks[0]
+        rows = [list(row) for row in blk.phi.rows]
+        rows[0][0] = rows[0][0] + make_small_surjection(ring).kernel_gen
+        module = FLModule(ring, lifted.module.bounds, [FLBlock(blk.weights, Matrix(ring, rows))])
+        return PairedFLModule(module, lifted.L, lifted.gram)
+
+    monkeypatch.setattr(flab.lifting, "_lift_step", corrupting)
+    for eps, rank in ((1, 3), (-1, 2), (-1, 4)):
+        base = random_paired_module(random.Random(71), make_field(LIFT_PRIMES[rank]), rank, eps, s=rank - 1)
+        with pytest.raises(InternalRankFailure, match=r"^defect entry \(1, \d\) of block 0 is not in the kernel$"):
+            lift_tower(base, 4, family=family)
+
+
 def test_tower_witt_chain(pcanon2):
     chain = lift_tower(pcanon2, 3)
     assert [P.module.ring for P in chain] == [
@@ -364,8 +451,11 @@ def test_tower_validates_each_pairing_once(monkeypatch, n, family):
     calls = _count_validate_pairing(monkeypatch)
     chain = lift_tower(base, n, family=family)
     assert len(chain) == n
-    # the base and its normal form, then each lifted level once
-    assert 0 < len(calls) <= n + 1
+    # the base, then the top stage: its normal form at n = 1, else the last
+    # lift, whose check certifies the levels below it
+    assert len(calls) == 2 and calls[0] == base
+    if n > 1:
+        assert calls[1] == chain[-1]
 
 
 def test_lift_small_checks_only_its_result(monkeypatch):
