@@ -13,6 +13,7 @@ FeasReport aggregates the verdicts and accepts only if every check accepts.
 from __future__ import annotations
 
 from .errors import InvalidGroup, InvalidInput
+from .rings import _check_prime
 
 VERY_GOOD = "very-good"
 SIMPLIFIED_BOUND = "p > max(17, 2(m−1))"
@@ -254,9 +255,11 @@ class FeasReport:
 
 
 def feasibility_report(group, p=None, degree=None, h0=None, weights=None):
-    """Run every check whose inputs were supplied."""
+    """Run every check whose inputs were supplied; a p that is not prime is
+    refused with InvalidInput before any check runs."""
     checks = {}
     if p is not None:
+        _check_prime(p)
         checks["very_good"] = check_very_good(p, group)
         checks["prime_bounds"] = check_prime_bounds(p, group)
     if degree is not None or h0 is not None:

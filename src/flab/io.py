@@ -138,7 +138,10 @@ def module_from_dict(doc):
 def _module_from_dict(doc, ring):
     rank = int(doc["rank"])
     _check_rank("rank", rank)
-    bounds = (int(doc["bounds"][0]), int(doc["bounds"][1]))
+    bounds = doc["bounds"]
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ValueError("bounds must be a list of two integers")
+    bounds = (int(bounds[0]), int(bounds[1]))
     block_docs = doc["blocks"]
     if len(block_docs) != int(doc["witt_degree"]):
         raise InvalidInput("witt_degree does not match the number of blocks")

@@ -23,43 +23,46 @@ moves between the levels of a tower (``_residue_data``, ``_lift_data``,
 one raw Newton iteration (``_newton``), and powers one square and multiply
 (``_power``); no RingElem is built inside either.  flab.linalg stores and
 computes on the raw tuples directly, a row at a time through three row
-kernels (``_row_submul``, ``_row_scale``, ``_dot``): written once in Ring
-on the arithmetic, and taken in one pass per row on Z/p^level and the
-tabled fields by WittRing (``_dot`` also on the f = 2 Witt rings and
-k[t]/t^level with f <= 2).  Degrees f above MAX_DEGREE and levels
-above MAX_LEVEL are refused before a ring is built.  Arithmetic per family:
+kernels (``_row_submul``, ``_row_scale``, ``_dot``), written once in Ring
+on the arithmetic.  Degrees f above MAX_DEGREE and levels above MAX_LEVEL
+are refused before a ring is built.
+
+Arithmetic per family.  Each kernel has a generic form; a fast path below
+stays because removing it alone read worse than the same session's A/A
+spread in interleaved A/Bs (BENCH_32.json: ratio with the path removed):
 
 * Z/p^level (f = 1): ``_add``, ``_sub`` and ``_mul`` do one int operation
-  mod p^level on the single coefficient, with no per-coefficient loop; the
-  data stays a 1-tuple, the layout io and the callers of ``x.data`` read.
-  Units invert by ``pow(a, -1, p^level)``.
-* F_q with f > 1 and q <= LOG_TABLE_MAX_Q: +, -, x and inversion by
-  table, through discrete-log / antilog tables over a generator g of F_q^*
-  and a Zech table zech[d] = log(1 + g^d).  A product is two dict lookups
-  and a list index; a sum a + b is exp[log a + zech[(log b - log a) mod n]]
-  with n = q - 1, and a - b adds -b, whose log is log b + h with
-  h = log(-1) (n/2 for odd p, 0 for p = 2).  The tables are built on the
-  first arithmetic operation, once per interned ring.  Building them costs q
-  convolution products and O(q) memory, which only a field that computes
-  far more often than that pays back; the cap keeps them to the small fields
-  of the eliminations and leaves the ambient fields of up to about 10^6
-  elements that flab.gf searches on convolution.
-* Every other Witt ring multiplies by polynomial convolution and reduction
-  mod the minimal polynomial (``WittRing._conv_mul``), and inverts units by
-  ``x^(q-2)`` in a large field or by Newton iteration from the residue
-  field at higher levels.
+  mod p^level (tangent_grid ops x0.97, module_algebra ops x0.87), the row
+  kernels one reduction per entry or per dot product (ops x0.98-0.99), and
+  ``_inv`` is ``pow(a, -1, p^level)`` (module_algebra ops x0.985).  The data
+  stays a 1-tuple, the layout io and the callers of ``x.data`` read.
+* F_q with f > 1 and q <= LOG_TABLE_MAX_Q: every kernel by discrete-log /
+  antilog tables over a generator g of F_q^* and a Zech table zech[d] =
+  log(1 + g^d) (``_mul`` tail x1.11, ``_inv`` ops x0.96 and ``_dot`` p50
+  x1.01-1.03 on tangent_grid; ``_row_submul`` tail x1.24, ``_row_scale``
+  tail x1.07, sums ops x0.993-0.996 on module_algebra).  A product is two
+  dict lookups and a list index; a + b is exp[log a + zech[(log b - log a)
+  mod n]], n = q - 1, and a - b adds -b, whose log is log b + h, h =
+  log(-1).  The tables are built on the first arithmetic operation, once per
+  interned ring, for q convolution products and O(q) memory; the cap keeps
+  them to the small fields of the eliminations and leaves the ambient fields
+  of up to about 10^6 elements that flab.gf searches on convolution.
 * W(F_{p^2})/p^level above level 1, and F_{p^2} above the table cap:
-  ``_add`` and ``_sub`` are written out on the two coefficients, and
-  ``_dot`` adds the unreduced convolutions of its terms and reduces mod
-  p^level and mod the minimal polynomial once per dot product, the delayed
-  reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, 2008).
+  ``_add``, ``_sub`` and ``_conv_mul`` are written out on the two
+  coefficients (lift_towers tail x1.03-1.04 and x1.07), and ``_dot`` reduces
+  mod p^level and the minimal polynomial once per dot product (tail x1.09), the
+  delayed reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, 2008).
+* Every other Witt ring multiplies by convolution and reduction mod the
+  minimal polynomial, and inverts units by x^(q-2) in a field or by Newton
+  iteration from the residue field at higher levels.
 * k[t]/t^level over F_p and F_{p^2}: coefficients are plain ints, taken in
   θ = x mod m(x) with θ^2 = -m_1 θ - m_0 for f = 2, and zero ones are
-  skipped.  ``_add`` and ``_sub`` reduce each coefficient mod p once.
-  ``_mul`` reduces a coefficient as each term lands on it: a tower
-  multiplies mostly lifts from k, one term per coefficient.  ``_dot`` adds
-  the terms of all its products unreduced (θ^2 folded in as they land) and
-  reduces once per coefficient.  Over larger k the operations are k's own.
+  skipped.  ``_mul`` reduces a coefficient as each term lands on it, as a
+  tower multiplies mostly lifts from k (lift_towers ops x0.98 as a one-term
+  ``_dot``); ``_dot`` reduces once per coefficient (lift_towers ops x0.98
+  over F_p, x0.96 over F_{p^2}).  ``_add`` and ``_sub`` are k's own, as is
+  every operation over larger k: sums on plain ints read lift_towers ops
+  x0.994-0.997, inside the A/A spread.
 """
 
 from __future__ import annotations
@@ -897,23 +900,13 @@ class DualNumbersRing(Ring):
         for coeff in data:
             self._kring._check_data(coeff)
 
-    # plain ints over F_p and F_{p^2} (module docstring, arithmetic per family)
-
     def _add(self, a, b):
-        p = self.p
-        if self.f == 1:
-            return tuple([((x + y) % p,) for (x,), (y,) in zip(a, b)])
-        if self.f == 2:
-            return tuple([((x0 + y0) % p, (x1 + y1) % p) for (x0, x1), (y0, y1) in zip(a, b)])
         return tuple(map(self._kring._add, a, b))
 
     def _sub(self, a, b):
-        p = self.p
-        if self.f == 1:
-            return tuple([((x - y) % p,) for (x,), (y,) in zip(a, b)])
-        if self.f == 2:
-            return tuple([((x0 - y0) % p, (x1 - y1) % p) for (x0, x1), (y0, y1) in zip(a, b)])
         return tuple(map(self._kring._sub, a, b))
+
+    # plain ints over F_p and F_{p^2} (module docstring, arithmetic per family)
 
     def _mul(self, a, b):
         n, p = self.level, self.p
@@ -1133,8 +1126,7 @@ def make_ring(family, p, f, level):
     """
     if family not in ("witt", "dual_numbers"):
         raise InvalidInput(f"unknown ring family {family!r}")
-    if not isinstance(p, int) or _split_prime_power(p) != (p, 1):
-        raise InvalidInput(f"p = {p} is not prime")
+    _check_prime(p)
     if p == 2:
         raise InvalidInput(
             "p odd required for unit square roots and pairing normalization"
@@ -1142,6 +1134,12 @@ def make_ring(family, p, f, level):
     _check_bounded("f", f, MAX_DEGREE)
     _check_bounded("level", level, MAX_LEVEL)
     return _cached_ring(family, p, f, level)
+
+
+def _check_prime(p):
+    """Refuse a p that is not prime, fast for a huge p (_trial_factors)."""
+    if not isinstance(p, int) or _split_prime_power(p) != (p, 1):
+        raise InvalidInput(f"p = {p} is not prime")
 
 
 def _check_bounded(name, value, bound):

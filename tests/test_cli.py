@@ -226,6 +226,16 @@ def test_feasibility_huge_group_fails_fast(m, capsys):
     assert out.err == f"InvalidInput h0 = 4 is below the involution lower bound {bound}\n"
 
 
+def test_feasibility_refuses_a_p_that_is_not_prime(capsys):
+    code = main(
+        ["feasibility", "--group", "gsp", "--m", "4", "--p", "21", "--degree", "1",
+         "--h0", "4"]
+    )
+    assert code == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "InvalidInput p = 21 is not prime\n")
+
+
 def test_feasibility_bad_weights_json_exits_2(capsys):
     code = main(["feasibility", "--group", "gsp", "--m", "4", "--weights", "[[0,1"])
     assert code == 2
@@ -492,6 +502,8 @@ def _broken_inputs(tmp_path):
         "singular_gram": edited(
             paired, lambda d: d["pairing"].update(gram=[[[[0], [0]], [[0], [0]]]])
         ),
+        "short_bounds": edited(paired, lambda d: d.update(bounds=[0])),
+        "long_bounds": edited(paired, lambda d: d.update(bounds=[0, 1, 9])),
     }
     paths = {name: write_doc(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
     text = dumps_canonical(paired)
@@ -521,6 +533,8 @@ BROKEN_INPUT_OUTCOMES = {
     "wrong_twist": (1, "PhiIncompatible block 0\n"),
     "wide_gram": (1, "FiltrationViolation block 0 entry (1, 2): weights 0+1 exceed s = 0\n"),
     "singular_gram": (1, "NotPerfect block 0\n"),
+    "short_bounds": (2, "ValueError bounds must be a list of two integers\n"),
+    "long_bounds": (2, "ValueError bounds must be a list of two integers\n"),
     "truncated_json": (
         2,
         "JSONDecodeError Unterminated string starting at: line 1 column 122 (char 121)\n",

@@ -195,3 +195,16 @@ def test_report_aggregates_checks():
         feasibility_report(gsp4)
     with pytest.raises(InvalidInput):
         feasibility_report(gsp4, degree=2)
+
+
+def test_report_refuses_a_p_that_is_not_prime():
+    gsp4 = GroupType("GSp", 4)
+    for p in (21, 4, 1, 0, -3):
+        with pytest.raises(InvalidInput, match=f"^p = {p} is not prime$"):
+            feasibility_report(gsp4, p=p, degree=1, h0=[4])
+    # a huge p fails on the trial-division bound, not by dividing on
+    with pytest.raises(InvalidInput, match="trial-division bound"):
+        feasibility_report(gsp4, p=2**61 - 1)
+    # 2 is prime, and stays accepted as input and rejected as not very good
+    two = feasibility_report(gsp4, p=2)
+    assert not two.checks["very_good"].accept and VERY_GOOD in two.binding()

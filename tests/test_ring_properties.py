@@ -1,5 +1,6 @@
 """Property suites for both ring families at levels 1-3.
 
+The rings are the GRID of the shared ring catalogue: f = 1, 2 and 3.
 Elements are drawn as raw coefficient data and validated by Ring.elem, so
 every element of every ring below can come up: the ring axioms, Frobenius
 as an automorphism of order f, the postconditions of inv, divide and
@@ -11,16 +12,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ring_catalogue import GRID
 
 from flab.errors import InvalidInput
 from flab.rings import make_ring
-
-RINGS = [
-    make_ring(family, p, f, level)
-    for family in ("witt", "dual_numbers")
-    for p, f in ((5, 1), (3, 2))
-    for level in (1, 2, 3)
-]
 
 SUITE = settings(max_examples=20, deadline=None)
 
@@ -39,7 +34,7 @@ def units(ring):
 
 
 def ring_params(fn):
-    return pytest.mark.parametrize("ring", RINGS, ids=repr)(SUITE(fn))
+    return pytest.mark.parametrize("ring", GRID, ids=repr)(SUITE(fn))
 
 
 @ring_params

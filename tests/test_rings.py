@@ -11,13 +11,10 @@ import pytest
 from flab.errors import InvalidInput, RingMismatch
 from flab.gf import field_generator
 from flab.rings import (
-    LOG_TABLE_MAX_Q,
     MAX_DEGREE,
     MAX_LEVEL,
     PRIME_TRIAL_BOUND,
-    DualNumbersRing,
     RingElem,
-    WittRing,
     _encoding_order,
     _prime_factors,
     _split_prime_power,
@@ -279,196 +276,6 @@ def test_inverse_on_random_units():
             x = ring.random_unit(rng)
             assert x * ring.inv(x) == ring.one
             assert (ring.one / x) * x == ring.one
-
-
-def test_log_tables_match_convolution():
-    # every tabled field of the benchmark workloads against the kept
-    # convolution product, on all pairs
-    for q in TABLED_Q:
-        ring = make_field(q)
-        assert ring._field_tables()
-        data = list(ring._all_data())
-        for a in data:
-            for b in data:
-                assert ring._mul(a, b) == ring._conv_mul(a, b), (q, a, b)
-
-
-def _conv_mul_per_step(ring, a, b):
-    # the convolution product reducing mod p^level after every product and
-    # every reduction step
-    m = ring._modulus
-    f = ring.f
-    conv = [0] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % m
-    mp = ring.minimal_poly
-    for d in range(2 * f - 2, f - 1, -1):
-        c = conv[d]
-        if c:
-            conv[d] = 0
-            off = d - f
-            for i in range(f):
-                conv[off + i] = (conv[off + i] - c * mp[i]) % m
-    return tuple(conv[:f])
-
-
-def test_conv_mul_matches_the_per_step_reduction():
-    # all pairs over W(F_9)/9, random pairs plus the extremes elsewhere
-    rng = random.Random(17)
-    for p, f, n in ((3, 2, 2), (3, 2, 3), (5, 2, 2), (3, 3, 2), (3, 3, 3), (5, 3, 2)):
-        ring = make_ring("witt", p, f, n)
-        top = tuple([ring._modulus - 1] * f)
-        if ring.size <= 81:
-            pairs = [(a, b) for a in ring._all_data() for b in ring._all_data()]
-        else:
-            elems = [ring.random_element(rng).data for _ in range(120)] + [top]
-            pairs = [(a, b) for a in elems for b in elems[:40]]
-        for a, b in pairs:
-            assert ring._conv_mul(a, b) == _conv_mul_per_step(ring, a, b), (p, f, n, a, b)
-
-
-def test_zech_add_and_sub_match_the_coefficientwise_formula():
-    # all pairs, zero included, of every tabled field of the workloads and of
-    # F_4, F_8, F_16, where -1 = 1
-    for q in TABLED_Q + (4, 8, 16):
-        ring = make_field(q)
-        p = ring.p
-        assert ring._field_tables()
-        data = list(ring._all_data())
-        for a in data:
-            for b in data:
-                assert ring._add(a, b) == tuple((x + y) % p for x, y in zip(a, b)), (q, a, b)
-                assert ring._sub(a, b) == tuple((x - y) % p for x, y in zip(a, b)), (q, a, b)
-
-
-def test_dual_numbers_mul_is_the_truncated_convolution():
-    # against the convolution mod t^n, with the residue-field products by
-    # convolution and the sums entrywise mod p, both tabulated once
-    for ring in (D9_2, make_ring("dual_numbers", 5, 2, 2), make_ring("dual_numbers", 3, 1, 3)):
-        k = ring.residue_ring()
-        kdata = list(k._all_data())
-        prod = {(x, y): k._conv_mul(x, y) for x in kdata for y in kdata}
-        add = {
-            (x, y): tuple((u + v) % k.p for u, v in zip(x, y)) for x in kdata for y in kdata
-        }
-        data = list(ring._all_data())
-        for a in data:
-            for b in data:
-                expected = []
-                for m in range(ring.level):
-                    c = prod[a[0], b[m]]
-                    for i in range(1, m + 1):
-                        c = add[c, prod[a[i], b[m - i]]]
-                    expected.append(c)
-                assert ring._mul(a, b) == tuple(expected), (ring, a, b)
-
-
-# -- integer fast paths against independent arithmetic -----------------------
-
-
-def _through_k(ring, xs, ys, k=None):
-    """The dot product of xs and ys in k[t]/t^n as polynomials mod t^n, by
-    k's own _add and _mul only (k the residue field unless given); one pair
-    is the product."""
-    k = k or ring.residue_ring()
-    n = ring.level
-    out = [k.zero.data] * n
-    for a, b in zip(xs, ys):
-        for i in range(n):
-            for j in range(n - i):
-                out[i + j] = k._add(out[i + j], k._mul(a[i], b[j]))
-    return tuple(out)
-
-
-def _sparse_dual_element(ring, rng):
-    # about half the coefficients zero, as in the lifts of a tower
-    k = ring.residue_ring()
-    return tuple(
-        k.random_element(rng).data if rng.random() < 0.5 else k.zero.data
-        for _ in range(ring.level)
-    )
-
-
-def _check_dual_against_k(ring, pairs, vectors):
-    k = ring.residue_ring()
-    for a, b in pairs:
-        assert ring._add(a, b) == tuple(k._add(x, y) for x, y in zip(a, b)), (ring, a, b)
-        assert ring._sub(a, b) == tuple(k._sub(x, y) for x, y in zip(a, b)), (ring, a, b)
-        product = _through_k(ring, [a], [b])
-        assert ring._mul(a, b) == product and ring._dot([a], [b]) == product, (ring, a, b)
-    for xs, ys in vectors:
-        assert ring._dot(xs, ys) == _through_k(ring, xs, ys), (ring, xs, ys)
-
-
-def test_dual_numbers_fast_paths_match_arithmetic_in_k():
-    # exhaustive on F_3[t]/t^2 and on all 6561 pairs of F_9[t]/t^2 (the
-    # F_p and F_{p^2} paths), seeded on F_{13^2}[t]/t^3, and on F_{5^3}[t]/t^2,
-    # which keeps the operations of k
-    rng = random.Random(28)
-    for ring in (make_ring("dual_numbers", 3, 1, 2), D9_2):
-        data = list(ring._all_data())
-        pairs = [(a, b) for a in data for b in data]
-        vectors = [
-            tuple(zip(*rng.sample(pairs, length))) or ((), ())
-            for length in (0, 1, 2, 3, 5, 8)
-            for _ in range(40)
-        ]
-        _check_dual_against_k(ring, pairs, vectors)
-    for ring in (make_ring("dual_numbers", 13, 2, 3), make_ring("dual_numbers", 5, 3, 2)):
-        elems = [_sparse_dual_element(ring, rng) for _ in range(60)]
-        elems += [ring.zero.data, ring.one.data, ring.pi().data]
-        pairs = [(a, b) for a in elems for b in elems[::3]]
-        vectors = [
-            ([rng.choice(elems) for _ in range(length)], [rng.choice(elems) for _ in range(length)])
-            for length in (0, 1, 2, 4, 7)
-            for _ in range(40)
-        ]
-        _check_dual_against_k(ring, pairs, vectors)
-    # every odd p has an x^2 + c to take, so the x term of the minimal
-    # polynomial is exercised only by a model of F_9 built on x^2 + x + 2
-    mp = (2, 1, 1)
-    ring, k = DualNumbersRing(3, 2, 3, mp), WittRing(3, 2, 1, mp)
-    elems = [_sparse_dual_element(ring, rng) for _ in range(80)]
-    for a in elems:
-        for b in elems[::5]:
-            assert ring._mul(a, b) == _through_k(ring, [a], [b], k), (a, b)
-    for length in (2, 3, 6):
-        xs, ys = rng.sample(elems, length), rng.sample(elems, length)
-        assert ring._dot(xs, ys) == _through_k(ring, xs, ys, k), (xs, ys)
-
-
-def test_witt_degree_two_kernels_match_the_convolution():
-    # W(F_9)/27 and the untabled field F_{67^2}, whose f = 2 sums and dot
-    # products no longer go through the coefficient loops and _conv_mul
-    rng = random.Random(67)
-    assert 67**2 > LOG_TABLE_MAX_Q
-    # W(F_9)/27 once more on x^2 + x + 2, whose x term the reduction uses
-    for ring in (make_ring("witt", 3, 2, 3), make_field(67**2), WittRing(3, 2, 3, (2, 1, 1))):
-        assert ring._field_tables() is False
-        m = ring._modulus
-        zero = ring.zero.data
-        top = (m - 1, m - 1)
-        elems = [ring.random_element(rng).data for _ in range(120)]
-        elems += [zero, ring.one.data, top, (0, m - 1), (m - 1, 0)]
-        for a in elems:
-            for b in elems[::4]:
-                assert ring._add(a, b) == tuple((x + y) % m for x, y in zip(a, b)), (a, b)
-                assert ring._sub(a, b) == tuple((x - y) % m for x, y in zip(a, b)), (a, b)
-        for length in (0, 1, 2, 3, 6, 16):
-            for _ in range(40):
-                xs = [rng.choice(elems) for _ in range(length)]
-                ys = [rng.choice(elems) for _ in range(length)]
-                expected = zero
-                for x, y in zip(xs, ys):
-                    t = ring._conv_mul(x, y)
-                    expected = tuple((u + v) % m for u, v in zip(expected, t))
-                assert ring._dot(xs, ys) == expected, (ring, xs, ys)
-        # a dot product of the extremes, far past one reduction per term
-        assert ring._dot([top] * 50, [top] * 50) == ring._conv_mul(
-            ring.from_int(50).data, ring._conv_mul(top, top)
-        )
 
 
 def test_log_table_cap_verdict():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -11,15 +12,34 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# appended to the copied bench/workloads.py: op 5 of tangent_grid gains a key
+PERTURB_OP_5 = """
+_tangent_grid = tangent_grid
 
-@pytest.mark.parametrize("workload", ["tangent_grid", "lift_towers", "module_algebra"])
-def test_interleave_runs_this_checkout_against_itself(workload):
+
+def tangent_grid(rng, workdir):
+    ops = _tangent_grid(rng, workdir)
+    canon = ops[5].canon
+    ops[5].canon = lambda rep: dict(canon(rep), perturbed=True)
+    return ops
+
+
+WORKLOADS["tangent_grid"] = tangent_grid
+"""
+
+
+def _interleave(change, workload):
     cmd = [
         sys.executable, os.path.join(ROOT, "tools", "interleave.py"),
-        "--parent", ROOT, "--change", ROOT,
+        "--parent", ROOT, "--change", change,
         "--workload", workload, "--seed", "1", "--reps", "1",
     ]
-    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=ROOT)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=ROOT)
+
+
+@pytest.mark.parametrize("workload", ["tangent_grid", "lift_towers", "module_algebra", "cli_docs"])
+def test_interleave_runs_this_checkout_against_itself(workload):
+    done = _interleave(ROOT, workload)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert (result["workload"], result["seed"], result["reps"]) == (workload, 1, 1)
@@ -37,3 +57,20 @@ def test_interleave_runs_this_checkout_against_itself(workload):
     assert [op["parent_ms"] for op in tail_ops] == sorted(
         (op["parent_ms"] for op in tail_ops), reverse=True
     )
+
+
+def test_interleave_catches_a_changed_result(tmp_path):
+    change = tmp_path / "change"
+    for part in ("src", "bench", "tools"):
+        shutil.copytree(
+            os.path.join(ROOT, part), change / part,
+            ignore=shutil.ignore_patterns("__pycache__", "_work"),
+        )
+    with open(change / "bench" / "workloads.py", "a", encoding="utf-8") as fh:
+        fh.write(PERTURB_OP_5)
+    done = _interleave(str(change), "tangent_grid")
+    assert done.returncode == 1, done.stderr
+    assert "every canonical result identical" not in done.stdout
+    # whichever side ran op 5 second is the one named
+    assert done.stderr.startswith("op 5 (class "), done.stderr
+    assert "result differs from the first result of this op" in done.stderr

@@ -133,8 +133,8 @@ def main(argv=None):
                         expected[index] = doc
                     elif doc != expected[index]:
                         print(
-                            f"op {index}, repetition {rep}: the {side.label} result "
-                            "differs from the first result of this op",
+                            f"op {index} (class {op.key}), repetition {rep}: the "
+                            f"{side.label} result differs from the first result of this op",
                             file=sys.stderr,
                         )
                         return 1
